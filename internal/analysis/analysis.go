@@ -18,7 +18,7 @@
 // interprocedural analyzers run on a whole-program layer (program.go:
 // call graph + function index; cfg.go: per-function control-flow
 // graphs with a worklist dataflow solver; ssa.go: an SSA form) built
-// once per Run; the concurrency analyzers (lockorder, goleak,
+// once per RunTimed; the concurrency analyzers (lockorder, goleak,
 // chandiscipline) additionally consume an Andersen-style points-to
 // solution (pointsto.go) and a happens-before graph (hb.go) resolving
 // which concrete mutexes and channels each operation touches. An
@@ -143,24 +143,20 @@ func directiveAllowIndex(dirs []directive, analyzer string, pos token.Position) 
 // TypeOf returns the static type of an expression, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// Run applies every analyzer to every package and returns the surviving
-// diagnostics sorted by position. Packages whose type check failed are
-// reported as loader diagnostics rather than analyzed: analyzers may
-// assume complete type information. Before the per-package passes run,
-// the error-free packages are indexed into one Program — the call
-// graph and function index the interprocedural analyzers traverse.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runPasses(pkgs, analyzers, nil, nil, nil)
-}
-
-// RunTimed is Run with wall-time accounting: when timings is non-nil,
-// each analyzer's total across all packages accumulates under its name
-// (plus "program" for the whole-program index build).
+// RunTimed applies every analyzer to every package and returns the
+// surviving diagnostics sorted by position. Packages whose type check
+// failed are reported as loader diagnostics rather than analyzed:
+// analyzers may assume complete type information. Before the
+// per-package passes run, the error-free packages are indexed into one
+// Program — the call graph and function index the interprocedural
+// analyzers traverse. When timings is non-nil, each analyzer's total
+// across all packages accumulates under its name (plus "program" for
+// the whole-program index build).
 func RunTimed(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duration) []Diagnostic {
 	return runPasses(pkgs, analyzers, nil, nil, timings)
 }
 
-// runPasses is the engine behind Run and the fact cache. skip, when it
+// runPasses is the engine behind RunTimed and the fact cache. skip, when it
 // returns ok, replays previously computed diagnostics for a
 // (package, analyzer) pass instead of running it; record observes each
 // pass's fresh diagnostics (internalErr flags an analyzer failure, whose

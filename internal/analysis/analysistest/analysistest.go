@@ -41,7 +41,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgdir string) []analysis.Diagnosti
 	if len(root.Errors) > 0 {
 		t.Fatalf("fixture %s does not type-check: %v", pkgdir, root.Errors[0])
 	}
-	diags := analysis.Run(roots, []*analysis.Analyzer{a})
+	diags := analysis.RunTimed(roots, []*analysis.Analyzer{a}, nil)
 	checkWants(t, root, diags)
 	return diags
 }

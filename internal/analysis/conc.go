@@ -27,12 +27,11 @@ type concOp struct {
 // bodyCFG is one body's control-flow graph with its operations mapped
 // to blocks.
 type bodyCFG struct {
-	key  hbBodyKey
-	fi   *FuncInfo // owning declared function (for Info/Fset)
-	g    *cfg
-	ops  map[int][]concOp // block -> ops in source order
-	dom  *domTree
-	pdom *domTree
+	key hbBodyKey
+	fi  *FuncInfo // owning declared function (for Info/Fset)
+	g   *cfg
+	ops map[int][]concOp // block -> ops in source order
+	dom *domTree
 }
 
 // dominators lazily computes the body's dominator tree.

@@ -7,7 +7,7 @@ import (
 )
 
 // loadFixtureProg loads one fixture package and builds its Program the
-// way Run does.
+// way RunTimed does.
 func loadFixtureProg(t *testing.T, pattern string) *Program {
 	t.Helper()
 	pkgs, err := Load(".", pattern)

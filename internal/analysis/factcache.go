@@ -187,13 +187,13 @@ type CacheStats struct {
 	FastPath bool
 }
 
-// RunCached is Load+Run with the fact cache in front. When nothing
+// RunCached is Load+RunTimed with the fact cache in front. When nothing
 // reachable from the patterns changed, it replays every diagnostic
 // from the cache without parsing or type-checking a single file; when
 // some packages changed, it type-checks the tree, re-runs the
 // whole-program analyzers everywhere, but replays the package-local
 // analyzers on every unchanged package. Both paths return exactly the
-// diagnostics an uncached Run would.
+// diagnostics an uncached RunTimed would.
 func RunCached(cache *FactCache, dir string, patterns []string, analyzers []*Analyzer, timings map[string]time.Duration) ([]Diagnostic, CacheStats, error) {
 	metaStart := time.Now()
 	order, _, err := loadMetas(dir, patterns)

@@ -1695,20 +1695,6 @@ func (s *ptSolver) escapedLoc(l int) bool {
 	return l == s.unknown || s.locs[l].escaped
 }
 
-// anyEscaped reports whether any location in the set (or the empty
-// set) must be treated as unknown.
-func (s *ptSolver) anyEscaped(locs []int) bool {
-	if len(locs) == 0 {
-		return true
-	}
-	for _, l := range locs {
-		if s.escapedLoc(l) {
-			return true
-		}
-	}
-	return false
-}
-
 // locString renders a location for diagnostics and goldens.
 func (s *ptSolver) locString(l int) string {
 	loc := s.locs[l]

@@ -87,11 +87,6 @@ type ssaPhi struct {
 	out  *ssaVal
 }
 
-// String renders a value as name.version for goldens and diagnostics.
-func (v *ssaVal) name() string {
-	return v.v.Name()
-}
-
 // buildSSA lifts fi's body into SSA over the prebuilt cfg.
 func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 	info := fi.Pkg.Info
@@ -610,15 +605,6 @@ func exprUses(e ast.Expr, emit func(*ast.Ident)) {
 		}
 		return true
 	})
-}
-
-// valueOf resolves an expression to the SSA value it denotes: a plain
-// identifier use (possibly parenthesized) of a versioned variable.
-func (f *ssaFunc) valueOf(e ast.Expr) *ssaVal {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return f.useVal[id]
-	}
-	return nil
 }
 
 // solveSSA runs one value lattice over the SSA graph to a fixpoint

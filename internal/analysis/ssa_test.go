@@ -29,8 +29,8 @@ func phiGolden(f *ssaFunc) []string {
 	ver := make(map[*ssaVal]string, len(f.vals))
 	count := make(map[string]int)
 	for _, v := range f.vals {
-		ver[v] = fmt.Sprintf("%s%d", v.name(), count[v.name()])
-		count[v.name()]++
+		ver[v] = fmt.Sprintf("%s%d", v.v.Name(), count[v.v.Name()])
+		count[v.v.Name()]++
 	}
 	blocks := make([]int, 0, len(f.phis))
 	for b := range f.phis {
@@ -146,26 +146,26 @@ func checkDefUse(t *testing.T, f *ssaFunc) {
 	}
 	for _, v := range f.vals {
 		if v.def != nil && f.defVal[v.def] != v {
-			t.Errorf("defVal link broken for %s%d", v.name(), v.id)
+			t.Errorf("defVal link broken for %s%d", v.v.Name(), v.id)
 		}
 		if v.phi != nil {
 			if v.phi.out != v {
-				t.Errorf("phi out link broken for %s", v.name())
+				t.Errorf("phi out link broken for %s", v.v.Name())
 			}
 			if len(v.phi.args) != len(preds[v.phi.block]) {
 				t.Errorf("phi for %s at b%d has %d args, block has %d preds",
-					v.name(), v.phi.block, len(v.phi.args), len(preds[v.phi.block]))
+					v.v.Name(), v.phi.block, len(v.phi.args), len(preds[v.phi.block]))
 			}
 		}
 		for _, u := range v.uses {
 			switch {
 			case u.id != nil:
 				if f.useVal[u.id] != v {
-					t.Errorf("use link of %s at %v points elsewhere", v.name(), u.id.Pos())
+					t.Errorf("use link of %s at %v points elsewhere", v.v.Name(), u.id.Pos())
 				}
 				if v.block != u.block && !f.dom.dominates(v.block, u.block) {
 					t.Errorf("def of %s%d in b%d does not dominate use in b%d",
-						v.name(), v.id, v.block, u.block)
+						v.v.Name(), v.id, v.block, u.block)
 				}
 			case u.phi != nil:
 				// The def must dominate the predecessor feeding the edge.
@@ -181,7 +181,7 @@ func checkDefUse(t *testing.T, f *ssaFunc) {
 				}
 				if !edgeOK {
 					t.Errorf("phi operand %s%d (b%d) does not dominate its edge into b%d",
-						v.name(), v.id, v.block, u.phi.block)
+						v.v.Name(), v.id, v.block, u.phi.block)
 				}
 			}
 		}
@@ -270,7 +270,7 @@ func consts(n uint64) uint64 {
 	byName := func(name string) []cpVal {
 		var out []cpVal
 		for _, v := range f.vals {
-			if v.name() == name {
+			if v.v.Name() == name {
 				out = append(out, facts[v])
 			}
 		}

@@ -54,7 +54,6 @@ type Result struct {
 type Code struct {
 	field      *gf2.Field
 	t          int
-	n          int // natural code length 2^m - 1
 	parityBits int // deg(g), excluding the extension bit
 	extended   bool
 	gen        gf2.Poly2
@@ -134,7 +133,6 @@ func newCode(t int, extended bool) (*Code, error) {
 	c := &Code{
 		field:      f,
 		t:          t,
-		n:          f.Order(),
 		parityBits: gen.Degree(),
 		extended:   extended,
 		gen:        gen,
@@ -237,9 +235,6 @@ func (c *Code) buildEncPosTables() {
 // T returns the correction capability.
 func (c *Code) T() int { return c.t }
 
-// N returns the natural code length 2^m - 1.
-func (c *Code) N() int { return c.n }
-
 // ParityBits returns the total parity width, including the extension bit
 // when the code is extended.
 func (c *Code) ParityBits() int {
@@ -254,9 +249,6 @@ func (c *Code) Extended() bool { return c.extended }
 
 // Generator returns the generator polynomial g(x).
 func (c *Code) Generator() gf2.Poly2 { return c.gen }
-
-// FieldM returns m of the underlying GF(2^m).
-func (c *Code) FieldM() int { return c.field.M() }
 
 // Encode computes the parity bits for a line. Parity occupies the low
 // ParityBits() bits of the returned word; when extended, the overall
@@ -440,16 +432,6 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 		}
 	}
 	return corrected, Result{CorrectedBits: nPos}
-}
-
-// syndromes computes S_1..S_2t of the received polynomial. It is the
-// allocating convenience wrapper around syndromesInto, kept for tests.
-func (c *Code) syndromes(data line.Line, parity uint64) []uint16 {
-	var scratch [maxSyn]uint16
-	c.syndromesInto(&data, parity, &scratch)
-	synd := make([]uint16, 2*c.t)
-	copy(synd, scratch[:])
-	return synd
 }
 
 // syndromesInto computes S_1..S_2t of the received polynomial into the

@@ -35,13 +35,23 @@ func randLine(rng *rand.Rand) line.Line {
 	return ln
 }
 
+// syndromes computes S_1..S_2t of the received polynomial. It is the
+// allocating convenience wrapper around syndromesInto.
+func (c *Code) syndromes(data line.Line, parity uint64) []uint16 {
+	var scratch [maxSyn]uint16
+	c.syndromesInto(&data, parity, &scratch)
+	synd := make([]uint16, 2*c.t)
+	copy(synd, scratch[:])
+	return synd
+}
+
 func TestCodeParameters(t *testing.T) {
 	// The paper's budget: ECC-6 on 512 data bits costs 60 parity bits in
 	// GF(2^10); with the detection extension, 61.
 	for tcap := 1; tcap <= 6; tcap++ {
 		c := mustCode(t, tcap, false)
-		if c.FieldM() != 10 {
-			t.Errorf("t=%d: m = %d, want 10", tcap, c.FieldM())
+		if c.field.Order() != 1023 {
+			t.Errorf("t=%d: n = %d, want 2^10-1", tcap, c.field.Order())
 		}
 		if got, want := c.ParityBits(), 10*tcap; got != want {
 			t.Errorf("t=%d: parity = %d, want %d", tcap, got, want)
@@ -64,7 +74,7 @@ func TestNewRejectsBadT(t *testing.T) {
 func TestGeneratorDividesXn1(t *testing.T) {
 	for _, tcap := range []int{1, 2, 6} {
 		c := mustCode(t, tcap, false)
-		xn1 := gf2.NewPoly2(c.N(), 0)
+		xn1 := gf2.NewPoly2(c.field.Order(), 0)
 		if _, r, err := xn1.DivMod(c.Generator()); err != nil || r.Degree() != -1 {
 			t.Errorf("t=%d: g(x) does not divide x^n+1", tcap)
 		}

@@ -2,16 +2,14 @@
 // (Table II: 1 MB, 64 B lines): a set-associative, write-back,
 // write-allocate cache with true-LRU replacement. The simulator's
 // synthetic workloads are calibrated at the miss stream, so the cache is
-// used for trace filtering (cmd/tracegen), the flush-on-idle transition
-// (the OS flushes caches before self refresh, paper Section III-B), and
-// examples.
+// used for trace filtering (internal/trace, cmd/tracegen,
+// examples/tracereplay).
 package cache
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // ErrBadGeometry reports an invalid cache shape.
@@ -57,7 +55,6 @@ type way struct {
 // It is not safe for concurrent use.
 type Cache struct {
 	sets     [][]way
-	assoc    int
 	setBits  int
 	useClock uint64
 	stats    Stats
@@ -83,16 +80,12 @@ func New(sizeBytes, lineBytes, assoc int) (*Cache, error) {
 	}
 	return &Cache{
 		sets:    sets,
-		assoc:   assoc,
 		setBits: bits.TrailingZeros(uint(nSets)),
 	}, nil
 }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
 
 // Access performs one access by line address. isWrite marks the line
 // dirty on hit or fill (write-allocate).
@@ -133,31 +126,4 @@ func (c *Cache) Access(lineAddr uint64, isWrite bool) AccessResult {
 	}
 	set[victim] = way{tag: tag, valid: true, dirty: isWrite, lastUse: c.useClock}
 	return res
-}
-
-// FlushDirty returns the line addresses of all dirty lines and marks them
-// clean — the cache flush the OS performs before switching the memory to
-// self refresh. The result is sorted for deterministic replay.
-func (c *Cache) FlushDirty() []uint64 {
-	var out []uint64
-	for setIdx, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				out = append(out, set[i].tag<<c.setBits|uint64(setIdx))
-				set[i].dirty = false
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Invalidate drops every line (used when modelling deep power down,
-// where memory contents are lost and caches restart cold).
-func (c *Cache) Invalidate() {
-	for setIdx := range c.sets {
-		for i := range c.sets[setIdx] {
-			c.sets[setIdx][i] = way{}
-		}
-	}
 }

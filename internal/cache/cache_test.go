@@ -29,7 +29,7 @@ func TestGeometryValidation(t *testing.T) {
 		}
 	}
 	c := mustCache(t, 1<<20, 64, 8)
-	if got := c.Sets(); got != 2048 {
+	if got := len(c.sets); got != 2048 {
 		t.Errorf("1MB/64B/8-way sets = %d, want 2048", got)
 	}
 }
@@ -97,37 +97,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	r := c.Access(4, false)
 	if !r.WritebackValid || r.Writeback != 0 {
 		t.Fatalf("dirty-on-hit not written back: %+v", r)
-	}
-}
-
-func TestFlushDirty(t *testing.T) {
-	c := mustCache(t, 1<<12, 64, 4)
-	c.Access(10, true)
-	c.Access(20, true)
-	c.Access(30, false)
-	dirty := c.FlushDirty()
-	if len(dirty) != 2 || dirty[0] != 10 || dirty[1] != 20 {
-		t.Fatalf("FlushDirty = %v", dirty)
-	}
-	// Second flush: nothing dirty.
-	if got := c.FlushDirty(); len(got) != 0 {
-		t.Errorf("second flush = %v", got)
-	}
-	// Lines are still cached after flush.
-	if !c.Access(10, false).Hit {
-		t.Error("flushed line evicted")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := mustCache(t, 1<<12, 64, 4)
-	c.Access(10, true)
-	c.Invalidate()
-	if c.Access(10, false).Hit {
-		t.Error("line survived invalidate")
-	}
-	if got := c.FlushDirty(); len(got) != 0 {
-		t.Errorf("dirty lines after invalidate: %v", got)
 	}
 }
 

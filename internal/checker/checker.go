@@ -75,7 +75,6 @@ func (v Violation) String() string {
 type Suite struct {
 	mu          sync.Mutex
 	violations  []Violation
-	dropped     uint64
 	onViolation func(Violation)
 	context     string
 }
@@ -111,16 +110,6 @@ func (s *Suite) SetContext(label string) {
 	s.mu.Unlock()
 }
 
-// Context returns the current context label. Nil-safe.
-func (s *Suite) Context() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.context
-}
-
 // Report records a violation stamped with the current context label.
 // Nil-safe.
 func (s *Suite) Report(invariant string, at uint64, format string, args ...any) {
@@ -135,7 +124,6 @@ func (s *Suite) Report(invariant string, at uint64, format string, args ...any) 
 	s.mu.Lock()
 	v.Context = s.context
 	if len(s.violations) >= maxViolations {
-		s.dropped++
 		s.mu.Unlock()
 		return
 	}
@@ -155,17 +143,6 @@ func (s *Suite) Violations() []Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Violation(nil), s.violations...)
-}
-
-// Dropped reports how many violations were discarded beyond the
-// retention cap. Nil-safe.
-func (s *Suite) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // Err returns nil when no violation was recorded, else an error wrapping

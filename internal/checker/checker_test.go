@@ -67,9 +67,6 @@ func TestSuiteRetentionCap(t *testing.T) {
 	if got := len(s.Violations()); got != maxViolations {
 		t.Fatalf("retained %d violations, want %d", got, maxViolations)
 	}
-	if s.Dropped() != 10 {
-		t.Fatalf("dropped = %d, want 10", s.Dropped())
-	}
 }
 
 // --- refresh-ratio ---
@@ -161,9 +158,6 @@ func TestRefreshTrackerSelfRefreshDivider(t *testing.T) {
 	if !has(t, s, "refresh-ratio", "expected 1000") {
 		t.Fatalf("divider mismatch not flagged: %v", s.Violations())
 	}
-	if tr.SelfRefreshPulses() != 17_000 {
-		t.Fatalf("pulses = %d, want 17000", tr.SelfRefreshPulses())
-	}
 }
 
 func TestRefreshTrackerNilSafe(t *testing.T) {
@@ -173,9 +167,6 @@ func TestRefreshTrackerNilSafe(t *testing.T) {
 	tr.OnAdvance(0, 10, true, 1)
 	tr.ExpectDivider(4)
 	tr.Finish(100)
-	if tr.SelfRefreshPulses() != 0 {
-		t.Fatal("nil tracker must be inert")
-	}
 }
 
 // --- MECC state machine ---
@@ -202,8 +193,8 @@ func TestMECCLegalLifecycle(t *testing.T) {
 	m.OnWrite(100, 20, true, true)
 	view.marked[1] = true
 	m.OnRead(5, 30, false, false) // weak re-read, no transition
-	if m.WeakLines() != 2 {
-		t.Fatalf("weak lines = %d, want 2", m.WeakLines())
+	if m.weakCount != 2 {
+		t.Fatalf("weak lines = %d, want 2", m.weakCount)
 	}
 	m.OnSweepStart(40)
 	m.OnSweepEnd(40, 2)
@@ -320,9 +311,6 @@ func TestMECCNilSafe(t *testing.T) {
 	m.OnSweepStart(0)
 	m.OnSweepEnd(0, 1)
 	m.OnPhase(0, true, true)
-	if m.WeakLines() != 0 {
-		t.Fatal("nil tracker must be inert")
-	}
 }
 
 // --- energy / cycle accounting ---
@@ -358,36 +346,11 @@ func TestEnergyChecks(t *testing.T) {
 
 // --- fault plans ---
 
-func TestRandomPlanDeterministic(t *testing.T) {
-	a := RandomPlan(7, 50, 1024, 1000)
-	b := RandomPlan(7, 50, 1024, 1000)
-	if len(a.Faults) != 50 || len(b.Faults) != 50 {
-		t.Fatalf("plan sizes: %d, %d", len(a.Faults), len(b.Faults))
-	}
-	for i := range a.Faults {
-		if a.Faults[i] != b.Faults[i] {
-			t.Fatalf("fault %d differs: %+v vs %+v", i, a.Faults[i], b.Faults[i])
-		}
-	}
-	c := RandomPlan(8, 50, 1024, 1000)
-	same := true
-	for i := range a.Faults {
-		if a.Faults[i] != c.Faults[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical plans")
-	}
-}
-
 func TestRefreshFaultsConsumption(t *testing.T) {
 	p := &FaultPlan{Faults: []Fault{
 		{Kind: DropRefresh, Seq: 3},
 		{Kind: DelayRefresh, Seq: 3, DelayCycles: 10},
 		{Kind: DropRefresh, Seq: 5},
-		{Kind: FlipDataBit, Seq: 1, LineAddr: 9, Bit: 100},
 	}}
 	rf := p.RefreshFaults()
 	if _, ok := rf.Next(0); ok {
@@ -407,19 +370,13 @@ func TestRefreshFaultsConsumption(t *testing.T) {
 	if _, ok := rf.Next(5); !ok {
 		t.Fatal("seq 5 fault lost")
 	}
-	if rf.Consumed() != 3 {
-		t.Fatalf("consumed = %d, want 3", rf.Consumed())
-	}
-	if got := len(p.MemoryFaults()); got != 1 {
-		t.Fatalf("memory faults = %d, want 1", got)
-	}
 	// Nil-safety.
 	var nilRF *RefreshFaults
-	if _, ok := nilRF.Next(0); ok || nilRF.Consumed() != 0 {
+	if _, ok := nilRF.Next(0); ok {
 		t.Fatal("nil RefreshFaults must be inert")
 	}
 	var nilPlan *FaultPlan
-	if nilPlan.RefreshFaults() != nil || nilPlan.MemoryFaults() != nil {
+	if nilPlan.RefreshFaults() != nil {
 		t.Fatal("nil plan must be inert")
 	}
 }
@@ -447,14 +404,11 @@ func TestSuiteContextLabel(t *testing.T) {
 	if got, want := v[0].String(), "refresh-ratio@10: unlabelled"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	if s.Context() != "" {
-		t.Errorf("Context() = %q after clear", s.Context())
+	if s.context != "" {
+		t.Errorf("context = %q after clear", s.context)
 	}
 
 	// Nil-safety: the hooks must be inert on a nil suite.
 	var nilSuite *Suite
 	nilSuite.SetContext("x")
-	if nilSuite.Context() != "" {
-		t.Error("nil suite context must be empty")
-	}
 }

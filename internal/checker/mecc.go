@@ -228,11 +228,3 @@ func (t *MECC) OnPhase(now uint64, active, downgradeOn bool) {
 	t.active = active
 	t.downgradeOn = downgradeOn
 }
-
-// WeakLines returns the shadow count of weak lines (for tests). Nil-safe.
-func (t *MECC) WeakLines() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.weakCount
-}

@@ -37,7 +37,6 @@ type RefreshTracker struct {
 
 	// Self-refresh validation state.
 	expectDivider int // scheme-intended divider; -1 = not in managed SR
-	srPulses      uint64
 }
 
 // NewRefreshTracker builds a tracker for one controller+channel pair.
@@ -135,7 +134,6 @@ func (t *RefreshTracker) OnAdvance(now, delta uint64, selfRefresh bool, pulses u
 	if !selfRefresh {
 		return
 	}
-	t.srPulses += pulses
 	if t.expectDivider >= 0 {
 		expected := delta / (t.trefi << t.expectDivider)
 		if pulses != expected {
@@ -154,15 +152,6 @@ func (t *RefreshTracker) ExpectDivider(bits int) {
 		return
 	}
 	t.expectDivider = bits
-}
-
-// SelfRefreshPulses returns the total pulses observed across checks (for
-// tests). Nil-safe.
-func (t *RefreshTracker) SelfRefreshPulses() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.srPulses
 }
 
 // Finish closes the final span at DRAM cycle now. Further hooks restart

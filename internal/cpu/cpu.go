@@ -69,9 +69,6 @@ func (c *Core) StallUntil(cycle uint64) {
 	}
 }
 
-// BaseCPI returns the configured non-memory CPI.
-func (c *Core) BaseCPI() float64 { return c.baseCPI }
-
 // SetBaseCPI changes the non-memory CPI mid-run — the hook behind
 // per-phase workload switching and first-order DVFS modelling in the
 // scenario framework (a frequency step scales how much non-memory work

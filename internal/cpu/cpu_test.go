@@ -13,7 +13,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.BaseCPI() != 0.5 {
+	if c.baseCPI != 0.5 {
 		t.Error("BaseCPI")
 	}
 }
@@ -103,8 +103,8 @@ func TestSetBaseCPI(t *testing.T) {
 	if err := c.SetBaseCPI(1.25); err != nil {
 		t.Fatal(err)
 	}
-	if c.BaseCPI() != 1.25 {
-		t.Errorf("BaseCPI = %v", c.BaseCPI())
+	if c.baseCPI != 1.25 {
+		t.Errorf("BaseCPI = %v", c.baseCPI)
 	}
 	// The fractional carry survives the switch: 1 instr at 0.5 leaves
 	// frac 0.5; two more at 1.25 add 2.5 -> now 3 exactly.

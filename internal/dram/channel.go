@@ -142,9 +142,6 @@ type Channel struct {
 	// pulse rate by 2^dividerBits (paper III-B: a 4-bit counter turns
 	// 64 ms into 1 s).
 	dividerBits int
-	srEnteredAt uint64
-	// pasrRetained is the fraction of the array refreshed in PASR.
-	pasrRetained float64
 	// auditor, when set, records every issued command for independent
 	// post-hoc constraint validation.
 	auditor *Auditor
@@ -155,11 +152,8 @@ type Channel struct {
 	srPulses    *obs.Counter
 	// chk, when set, is told about fast-forwards so the refresh-ratio
 	// invariant can exclude them; nil (the default) costs one nil check.
-	chk *checker.RefreshTracker
-	// contentsLost latches after PASR (partially) or DPD (fully) until
-	// acknowledged via ContentsLost.
-	contentsLost float64
-	stats        Stats
+	chk   *checker.RefreshTracker
+	stats Stats
 }
 
 // NewChannel builds a channel in active-standby with all banks precharged.
@@ -178,9 +172,11 @@ func NewChannel(cfg Config) (*Channel, error) {
 	}, nil
 }
 
-// Decode maps a line address to rank/bank/row/column using parameters
-// precomputed at construction; identical to Config.Decode but without
-// the per-call Config copies.
+// Decode maps a line address to its rank/bank/row/column per the
+// configured address-interleaving policy, using parameters precomputed
+// at construction. Rank bits sit directly above the bank bits, so
+// consecutive row-sized chunks rotate through every bank of every rank
+// before the row advances.
 //
 //meccvet:hotpath
 func (ch *Channel) Decode(lineAddr uint64) Coord { return ch.dec.decode(lineAddr) }
@@ -652,7 +648,6 @@ func (ch *Channel) EnterSelfRefresh(dividerBits int) error {
 	ch.state = StateSelfRefresh
 	ch.dividerBits = dividerBits
 	ch.stats.SRDividerBits = dividerBits
-	ch.srEnteredAt = ch.now
 	if ch.obs != nil && ch.obs.Tracing() {
 		ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindRefreshRate, Shift: dividerBits})
 	}
@@ -668,78 +663,6 @@ func (ch *Channel) ExitSelfRefresh() error {
 	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
 	return nil
 }
-
-// EnterPASR enters partial-array self refresh: only `retained` of the
-// array (one of 1/2, 1/4, 1/8, 1/16) keeps being refreshed; the rest
-// loses its contents (Section II-A). All banks must be precharged.
-func (ch *Channel) EnterPASR(retained float64) error {
-	if ch.state != StateActiveStandby {
-		return fmt.Errorf("%w: PASR from %v", ErrBadState, ch.state)
-	}
-	if !ch.AllPrecharged() {
-		return fmt.Errorf("%w: PASR with open rows", ErrBadState)
-	}
-	switch retained {
-	case 0.5, 0.25, 0.125, 0.0625:
-	default:
-		return fmt.Errorf("%w: PASR retained fraction %v", ErrBadConfig, retained)
-	}
-	ch.state = StatePASR
-	ch.pasrRetained = retained
-	ch.dividerBits = 0
-	ch.stats.PASRRetained = retained
-	ch.contentsLost = maxF64(ch.contentsLost, 1-retained)
-	return nil
-}
-
-// ExitPASR wakes the device from PASR; commands stall for tXSR. The
-// non-retained portion of the array has lost its contents (see
-// ContentsLost).
-func (ch *Channel) ExitPASR() error {
-	if ch.state != StatePASR {
-		return fmt.Errorf("%w: PASR exit from %v", ErrBadState, ch.state)
-	}
-	ch.state = StateActiveStandby
-	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
-	return nil
-}
-
-// PASRRetained returns the retained fraction while in PASR.
-func (ch *Channel) PASRRetained() float64 { return ch.pasrRetained }
-
-// EnterDeepPowerDown cuts power entirely: nothing is refreshed and the
-// whole array's contents are lost.
-func (ch *Channel) EnterDeepPowerDown() error {
-	if ch.state != StateActiveStandby {
-		return fmt.Errorf("%w: DPD from %v", ErrBadState, ch.state)
-	}
-	if !ch.AllPrecharged() {
-		return fmt.Errorf("%w: DPD with open rows", ErrBadState)
-	}
-	ch.state = StateDeepPowerDown
-	ch.contentsLost = 1
-	return nil
-}
-
-// ExitDeepPowerDown re-powers the device; the array must be
-// re-initialized by the system before use (ContentsLost reports 1).
-func (ch *Channel) ExitDeepPowerDown() error {
-	if ch.state != StateDeepPowerDown {
-		return fmt.Errorf("%w: DPD exit from %v", ErrBadState, ch.state)
-	}
-	ch.state = StateActiveStandby
-	// DPD exit requires full re-initialization; model the stall as tXSR.
-	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
-	return nil
-}
-
-// ContentsLost returns the fraction of the array whose contents were
-// lost by PASR/DPD residency since the last AcknowledgeLoss.
-func (ch *Channel) ContentsLost() float64 { return ch.contentsLost }
-
-// AcknowledgeLoss clears the contents-lost latch after the system has
-// re-initialized the affected region.
-func (ch *Channel) AcknowledgeLoss() { ch.contentsLost = 0 }
 
 // NoteRowHit records row-buffer hit/miss classification (kept by the
 // controller at request grain, stored here so power and locality stats
@@ -762,13 +685,6 @@ func errFor(ch *Channel, bank int) error {
 }
 
 func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF64(a, b float64) float64 {
 	if a > b {
 		return a
 	}

@@ -64,6 +64,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// Decode maps a line address to its rank/bank/row/column per the
+// configured address-interleaving policy. Rank bits sit directly above
+// the bank bits, so consecutive row-sized chunks rotate through every
+// bank of every rank before the row advances. Channel.Decode is the same
+// mapping off precomputed parameters.
+func (c Config) Decode(lineAddr uint64) Coord {
+	p := c.decodeParams()
+	return p.decode(lineAddr)
+}
+
 func TestDecodeMapping(t *testing.T) {
 	cfg := DefaultConfig()
 	lpr := uint64(cfg.LinesPerRow()) // 128
@@ -89,20 +99,6 @@ func TestDecodeMapping(t *testing.T) {
 			co.Col < 0 || co.Col >= cfg.LinesPerRow() {
 			t.Errorf("Decode(%d) out of range: %+v", addr, co)
 		}
-	}
-}
-
-func TestRegionOf(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := cfg.RegionOf(0, 1024); got != 0 {
-		t.Errorf("region of line 0 = %d", got)
-	}
-	if got := cfg.RegionOf(cfg.TotalLines()-1, 1024); got != 1023 {
-		t.Errorf("region of last line = %d", got)
-	}
-	// 1 GB / 1024 regions = 1 MB per region = 16384 lines.
-	if got := cfg.RegionOf(16384, 1024); got != 1 {
-		t.Errorf("region of line 16384 = %d, want 1", got)
 	}
 }
 
@@ -443,100 +439,6 @@ func TestPowerStateString(t *testing.T) {
 	}
 	if PowerState(42).String() != "PowerState(42)" {
 		t.Error("unknown state string")
-	}
-}
-
-func TestPASRLifecycle(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterPASR(0.3); err == nil {
-		t.Fatal("non-standard PASR fraction should be rejected")
-	}
-	if err := ch.EnterPASR(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if ch.State() != StatePASR || ch.PASRRetained() != 0.25 {
-		t.Fatalf("state %v retained %v", ch.State(), ch.PASRRetained())
-	}
-	// Three quarters of the array is lost.
-	if got := ch.ContentsLost(); got != 0.75 {
-		t.Errorf("contents lost = %v", got)
-	}
-	tickTo(ch, 100)
-	if ch.Stats().CyclesPASR != 100 {
-		t.Errorf("PASR residency = %d", ch.Stats().CyclesPASR)
-	}
-	if err := ch.ExitPASR(); err != nil {
-		t.Fatal(err)
-	}
-	if ch.CanACT(0) {
-		t.Error("ACT legal during tXSR after PASR")
-	}
-	tickTo(ch, ch.Now()+uint64(ch.Config().Timing.TXSR))
-	if !ch.CanACT(0) {
-		t.Error("ACT should be legal after tXSR")
-	}
-	ch.AcknowledgeLoss()
-	if ch.ContentsLost() != 0 {
-		t.Error("loss latch not cleared")
-	}
-	if err := ch.ExitPASR(); err == nil {
-		t.Error("double PASR exit should error")
-	}
-}
-
-func TestPASRRequiresPrecharged(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.ACT(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.EnterPASR(0.5); err == nil {
-		t.Error("PASR with open row should error")
-	}
-	if err := ch.EnterDeepPowerDown(); err == nil {
-		t.Error("DPD with open row should error")
-	}
-}
-
-func TestDeepPowerDownLifecycle(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterDeepPowerDown(); err != nil {
-		t.Fatal(err)
-	}
-	if ch.State() != StateDeepPowerDown {
-		t.Fatalf("state %v", ch.State())
-	}
-	if got := ch.ContentsLost(); got != 1 {
-		t.Errorf("contents lost = %v, want 1", got)
-	}
-	ch.AdvanceTo(1000)
-	s := ch.Stats()
-	if s.CyclesDPD != 1000 {
-		t.Errorf("DPD residency = %d", s.CyclesDPD)
-	}
-	// No refresh pulses happen in DPD.
-	if s.NSelfRefreshPulses != 0 {
-		t.Error("refresh pulses during DPD")
-	}
-	if err := ch.ExitDeepPowerDown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.ExitDeepPowerDown(); err == nil {
-		t.Error("double DPD exit should error")
-	}
-	if got := ch.Stats().TotalCycles(); got != 1000 {
-		t.Errorf("TotalCycles = %d", got)
-	}
-}
-
-func TestPASRPulsesAccounted(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterPASR(0.5); err != nil {
-		t.Fatal(err)
-	}
-	treifi := uint64(ch.Config().Timing.TREFI)
-	ch.AdvanceTo(treifi * 10)
-	if got := ch.Stats().NSelfRefreshPulses; got != 10 {
-		t.Errorf("PASR pulses = %d, want 10", got)
 	}
 }
 

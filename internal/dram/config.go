@@ -298,30 +298,3 @@ func (p *decodeParams) decode(lineAddr uint64) Coord {
 		return Coord{Rank: rank, Bank: rank*p.banksPerRank + bank, Row: row, Col: col}
 	}
 }
-
-// Decode maps a line address to its rank/bank/row/column per the
-// configured address-interleaving policy. Rank bits sit directly above
-// the bank bits, so consecutive row-sized chunks rotate through every
-// bank of every rank before the row advances. Hot callers should prefer
-// Channel.Decode, which runs off precomputed parameters.
-func (c Config) Decode(lineAddr uint64) Coord {
-	p := c.decodeParams()
-	return p.decode(lineAddr)
-}
-
-// RegionOf returns the index of the lineAddr's region when memory is
-// split into nRegions equal regions (the MDT granularity).
-func (c Config) RegionOf(lineAddr uint64, nRegions int) int {
-	if nRegions <= 0 {
-		return 0
-	}
-	linesPerRegion := c.TotalLines() / uint64(nRegions)
-	if linesPerRegion == 0 {
-		linesPerRegion = 1
-	}
-	r := lineAddr / linesPerRegion
-	if r >= uint64(nRegions) {
-		r = uint64(nRegions - 1)
-	}
-	return int(r)
-}

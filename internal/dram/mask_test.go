@@ -19,19 +19,3 @@ func TestMaskOf(t *testing.T) {
 		}
 	}
 }
-
-// TestRegionOfDegenerate pins the guards on the MDT region split:
-// nonpositive region counts collapse to region 0 instead of dividing
-// by zero or wrapping the clamp index.
-func TestRegionOfDegenerate(t *testing.T) {
-	c := DefaultConfig()
-	for _, n := range []int{0, -1} {
-		if got := c.RegionOf(12345, n); got != 0 {
-			t.Errorf("RegionOf(12345, %d) = %d, want 0", n, got)
-		}
-	}
-	// An address past the end clamps into the last region.
-	if got := c.RegionOf(^uint64(0), 8); got != 7 {
-		t.Errorf("RegionOf(max, 8) = %d, want 7", got)
-	}
-}

@@ -163,9 +163,6 @@ func NewSuite(opts Options) (*Suite, error) {
 	}, nil
 }
 
-// Options returns the suite's options.
-func (s *Suite) Options() Options { return s.opts }
-
 // Matrix runs (or returns cached) results for every benchmark under the
 // given schemes.
 func (s *Suite) Matrix(schemes ...sim.SchemeKind) (map[string]map[sim.SchemeKind]sim.Result, error) {

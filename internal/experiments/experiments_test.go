@@ -745,7 +745,7 @@ func TestTableIIIAndScrubTable(t *testing.T) {
 		t.Skip("skipped in -short")
 	}
 	s := fastSuite(t)
-	if got := s.Options().Scale; got != 4000 {
+	if got := s.opts.Scale; got != 4000 {
 		t.Errorf("suite options scale = %d", got)
 	}
 	res, err := TableIII(s)

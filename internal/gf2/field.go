@@ -43,11 +43,9 @@ var defaultPrimitive = map[int]uint32{
 // Field is GF(2^m) with precomputed log and antilog tables. It is
 // immutable after construction and safe for concurrent use.
 type Field struct {
-	m    int
-	n    int // 2^m - 1, the multiplicative group order
-	poly uint32
-	exp  []uint16 // exp[i] = alpha^i, length 2n so indexing needs no mod
-	log  []int    // log[x] = i such that alpha^i = x; log[0] unused
+	n   int      // 2^m - 1, the multiplicative group order
+	exp []uint16 // exp[i] = alpha^i, length 2n so indexing needs no mod
+	log []int    // log[x] = i such that alpha^i = x; log[0] unused
 }
 
 // NewField constructs GF(2^m) using the conventional primitive polynomial.
@@ -70,11 +68,9 @@ func NewFieldPoly(m int, poly uint32) (*Field, error) {
 	}
 	n := (1 << uint(m)) - 1
 	f := &Field{
-		m:    m,
-		n:    n,
-		poly: poly,
-		exp:  make([]uint16, 2*n),
-		log:  make([]int, n+1),
+		n:   n,
+		exp: make([]uint16, 2*n),
+		log: make([]int, n+1),
 	}
 	x := uint32(1)
 	for i := 0; i < n; i++ {
@@ -96,25 +92,11 @@ func NewFieldPoly(m int, poly uint32) (*Field, error) {
 	return f, nil
 }
 
-// M returns the field degree m.
-func (f *Field) M() int { return f.m }
-
 // Order returns 2^m - 1, the order of the multiplicative group.
 func (f *Field) Order() int { return f.n }
 
-// Poly returns the primitive polynomial mask used to build the field.
-func (f *Field) Poly() uint32 { return f.poly }
-
 // Alpha returns alpha^i for any integer i >= 0.
 func (f *Field) Alpha(i int) uint16 { return f.exp[i%f.n] }
-
-// Log returns the discrete log of x (x != 0).
-func (f *Field) Log(x uint16) (int, error) {
-	if x == 0 || int(x) > f.n {
-		return 0, fmt.Errorf("gf2: log of %d undefined", x)
-	}
-	return f.log[x], nil
-}
 
 // Add returns a + b (XOR in characteristic 2).
 func (f *Field) Add(a, b uint16) uint16 { return a ^ b }
@@ -136,25 +118,6 @@ func (f *Field) Div(a, b uint16) (uint16, error) {
 		return 0, nil
 	}
 	return f.exp[f.log[a]-f.log[b]+f.n], nil
-}
-
-// Inv returns the multiplicative inverse of a, or an error if a == 0.
-func (f *Field) Inv(a uint16) (uint16, error) {
-	if a == 0 {
-		return 0, ErrDivByZero
-	}
-	return f.exp[f.n-f.log[a]], nil
-}
-
-// Pow returns a^e for e >= 0 (0^0 == 1 by convention).
-func (f *Field) Pow(a uint16, e int) uint16 {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return f.exp[(f.log[a]*e)%f.n]
 }
 
 // MulTable returns the dense multiplication table of a fixed element:

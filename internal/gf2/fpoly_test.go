@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -14,21 +15,11 @@ func randFPoly(rng *rand.Rand, f *Field, maxDeg int) FPoly {
 }
 
 func TestFPolyBasics(t *testing.T) {
-	p := NewFPoly(3, 0, 1) // x^2 + 3
-	if p.Degree() != 2 || p.Coeff(0) != 3 || p.Coeff(1) != 0 || p.Coeff(5) != 0 {
-		t.Errorf("basics: %v", p)
+	if NewFPoly(3, 0, 1).Degree() != 2 { // x^2 + 3
+		t.Error("degree of x^2 + 3")
 	}
 	if (FPoly{}).Degree() != -1 || (FPoly{0, 0}).Degree() != -1 {
 		t.Error("zero degree")
-	}
-	if got := NewFPoly(1, 2, 0, 0).Trim(); len(got) != 2 {
-		t.Errorf("Trim = %v", got)
-	}
-	if !NewFPoly(1, 2).Equal(NewFPoly(1, 2, 0)) {
-		t.Error("Equal should ignore trailing zeros")
-	}
-	if NewFPoly(1).Equal(NewFPoly(2)) {
-		t.Error("Equal false negative")
 	}
 }
 
@@ -38,95 +29,36 @@ func TestFPolyArithmetic(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := randFPoly(rng, f, 6)
 		b := randFPoly(rng, f, 6)
-		c := randFPoly(rng, f, 6)
-		// Commutativity and distributivity at a random point: checking
-		// polynomial identities by evaluation (a field has no zero
-		// divisors, so equality at enough points means equality).
+		// Commutativity, and evaluation as a homomorphism at a random
+		// point (a field has no zero divisors, so equality at enough
+		// points means equality).
 		x := uint16(rng.Intn(f.Order() + 1))
 		ab := a.Mul(f, b)
-		if !ab.Equal(b.Mul(f, a)) {
+		if !slices.Equal(ab, b.Mul(f, a)) {
 			t.Fatal("Mul not commutative")
 		}
-		lhs := a.Mul(f, b.Add(c)).Eval(f, x)
-		rhs := ab.Eval(f, x) ^ a.Mul(f, c).Eval(f, x)
-		if lhs != rhs {
-			t.Fatal("distributivity fails")
-		}
-		// Eval is a homomorphism.
-		if ab.Eval(f, x) != f.Mul(a.Eval(f, x), b.Eval(f, x)) {
+		if f.Eval(ab, x) != f.Mul(f.Eval(a, x), f.Eval(b, x)) {
 			t.Fatal("Eval not multiplicative")
 		}
-		if a.Add(b).Eval(f, x) != a.Eval(f, x)^b.Eval(f, x) {
-			t.Fatal("Eval not additive")
-		}
-	}
-}
-
-func TestFPolyScaleAndMulX(t *testing.T) {
-	f := mustField(t, 4)
-	p := NewFPoly(1, 2, 3)
-	s := p.Scale(f, 5)
-	for i := range p {
-		if s[i] != f.Mul(p[i], 5) {
-			t.Fatal("Scale wrong")
-		}
-	}
-	mx := p.MulX(2)
-	if mx.Degree() != 4 || mx.Coeff(2) != 1 || mx.Coeff(0) != 0 {
-		t.Errorf("MulX = %v", mx)
-	}
-	if (FPoly{}).MulX(3) != nil {
-		t.Error("zero MulX")
-	}
-}
-
-func TestFPolyDerivative(t *testing.T) {
-	// d/dx (a + bx + cx^2 + dx^3) = b + dx^2 in characteristic 2.
-	p := NewFPoly(7, 5, 9, 3)
-	d := p.Derivative()
-	if !d.Equal(NewFPoly(5, 0, 3)) {
-		t.Errorf("Derivative = %v", d)
-	}
-	if NewFPoly(4).Derivative() != nil {
-		t.Error("constant derivative should be zero")
 	}
 }
 
 func TestFPolyRoots(t *testing.T) {
 	f := mustField(t, 6)
-	// Construct (x - alpha^3)(x - alpha^17)(x - alpha^40) and recover
-	// the roots.
+	// Construct (x - alpha^3)(x - alpha^17)(x - alpha^40): exactly those
+	// three nonzero elements are roots.
 	want := []int{3, 17, 40}
 	p := NewFPoly(1)
 	for _, e := range want {
 		p = p.Mul(f, NewFPoly(f.Alpha(e), 1))
 	}
-	got := p.MonicRoots(f)
-	if len(got) != 3 {
-		t.Fatalf("roots = %v", got)
-	}
-	seen := map[int]bool{}
-	for _, r := range got {
-		seen[r] = true
-	}
-	for _, e := range want {
-		if !seen[e] {
-			t.Errorf("missing root alpha^%d", e)
+	var got []int
+	for e := 0; e < f.Order(); e++ {
+		if f.Eval(p, f.Alpha(e)) == 0 {
+			got = append(got, e)
 		}
 	}
-	if NewFPoly(5).MonicRoots(f) != nil {
-		t.Error("constant has no roots")
-	}
-}
-
-func TestFPolyString(t *testing.T) {
-	if got := (FPoly{}).String(); got != "0" {
-		t.Errorf("zero string = %q", got)
-	}
-	if got := NewFPoly(3, 1, 1).String(); got != "x^2 + x + 3" {
-		t.Errorf("string = %q", got)
-	}
-	if got := NewFPoly(0, 2).String(); got != "2·x" {
-		t.Errorf("string = %q", got)
+	if !slices.Equal(got, want) {
+		t.Errorf("roots = %v, want %v", got, want)
 	}
 }

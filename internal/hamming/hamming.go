@@ -102,9 +102,6 @@ func (s *SECDED) buildMasks() {
 	}
 }
 
-// DataBits returns the number of protected data bits.
-func (s *SECDED) DataBits() int { return s.dataBits }
-
 // CheckBits returns the total stored check width, including the overall
 // parity bit.
 func (s *SECDED) CheckBits() int { return s.checkBits + 1 }

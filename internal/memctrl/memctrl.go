@@ -36,18 +36,6 @@ const (
 	ClosedPage
 )
 
-// String renders the policy name.
-func (p PagePolicy) String() string {
-	switch p {
-	case OpenPage:
-		return "open-page"
-	case ClosedPage:
-		return "closed-page"
-	default:
-		return fmt.Sprintf("PagePolicy(%d)", int(p))
-	}
-}
-
 // Config holds controller policy parameters.
 type Config struct {
 	// ReadQueueCap and WriteQueueCap bound the queues (USIMM defaults).
@@ -127,9 +115,6 @@ type Request struct {
 	// row-buffer locality accounting.
 	missed bool
 }
-
-// Coord returns the request's decoded bank/row/column.
-func (r *Request) Coord() dram.Coord { return r.coord }
 
 // latencyBounds are the upper edges (DRAM cycles) of the read-latency
 // histogram buckets; the last bucket is unbounded.
@@ -284,9 +269,6 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 	c.nextRefreshAt = c.refreshInterval()
 	return c, nil
 }
-
-// Channel returns the underlying DRAM channel.
-func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // SetObserver attaches a telemetry recorder (nil detaches): request and
 // refresh counters (total and per-refresh-tier), the read-latency

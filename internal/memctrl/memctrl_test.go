@@ -557,12 +557,6 @@ func TestClosedPagePolicy(t *testing.T) {
 	if h.ch.Stats().NPRE == 0 {
 		t.Error("no precharges issued")
 	}
-	if OpenPage.String() != "open-page" || ClosedPage.String() != "closed-page" {
-		t.Error("policy strings")
-	}
-	if PagePolicy(9).String() != "PagePolicy(9)" {
-		t.Error("unknown policy string")
-	}
 }
 
 func TestFCFSCompletesEverything(t *testing.T) {

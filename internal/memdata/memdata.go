@@ -125,10 +125,6 @@ func NewWithCodec(totalLines uint64, meccCfg core.Config, codec *ecc.Morphable, 
 	return m, nil
 }
 
-// Controller exposes the underlying MECC controller (mode table, MDT,
-// SMD state) for inspection.
-func (m *Memory) Controller() *core.Controller { return m.ctl }
-
 // Stats returns a copy of the counters.
 func (m *Memory) Stats() Stats { return m.stats }
 
@@ -197,11 +193,6 @@ func (m *Memory) Read(addr uint64, nowCPU uint64) (line.Line, error) {
 	return fixed, nil
 }
 
-// sweepChunk is the number of lines a batched sweep gathers per round:
-// large enough to keep every worker of the codec pool busy, small enough
-// to bound the scratch buffers at a few hundred KB.
-const sweepChunk = 4096
-
 // minSweepPerWorker is the smallest shard worth shipping to a sweep
 // worker: a screened upgrade is a few hundred nanoseconds per line, so
 // 256 lines keep the fork-join overhead well under 1%.
@@ -213,13 +204,6 @@ func (m *Memory) setPool(p *batch.Pool) {
 	m.pool = p
 	m.sweepStats = make([]sweepShardStats, p.Workers())
 }
-
-// SetSweepPool replaces the worker pool behind the upgrade sweep (the
-// process-wide batch.Default() unless overridden). Tests use it to pin
-// the worker count when checking that sweep results are bit-identical
-// for any sharding. The memory does not own the pool; Close it (if not
-// the default) when done.
-func (m *Memory) SetSweepPool(p *batch.Pool) { m.setPool(p) }
 
 // sweepShard upgrades the weak lines m.sweepWeak[lo:hi] in place. It is
 // the persistent shard body run by the pool workers: shards touch
@@ -333,70 +317,4 @@ func (m *Memory) InjectBitFlip(addr uint64, bit int) {
 		m.spare[addr] ^= uint64(1) << ((bit - line.Bits) % ecc.SpareBits)
 	}
 	m.stats.InjectedErrors++
-}
-
-// Scrub decodes and re-encodes every initialized line in place (idle
-// mode), clearing accumulated correctable errors — the maintenance
-// operation a real controller would fold into the upgrade sweep. Decoding
-// runs in batched chunks through the codec worker pool; corrected lines
-// (rare) are re-encoded individually. It returns the number of corrected
-// bits, or an error naming the first uncorrectable line — lines past the
-// failure are left untouched, exactly as the sequential scrub did.
-func (m *Memory) Scrub() (int, error) {
-	addrs := make([]uint64, 0, sweepChunk)
-	var (
-		datas  []line.Line
-		spares []uint64
-		evs    []ecc.DecodeEvent
-	)
-	corrected := 0
-	flush := func() error {
-		if len(addrs) == 0 {
-			return nil
-		}
-		if datas == nil {
-			datas = make([]line.Line, sweepChunk)
-			spares = make([]uint64, sweepChunk)
-			evs = make([]ecc.DecodeEvent, sweepChunk)
-		}
-		for i, addr := range addrs {
-			datas[i] = m.data[addr]
-			spares[i] = m.spare[addr]
-		}
-		cd, cs, ce := datas[:len(addrs)], spares[:len(addrs)], evs[:len(addrs)]
-		m.codec.DecodeBatch(cd, cs, cd, ce)
-		for i, addr := range addrs {
-			if ce[i].Result.Uncorrectable {
-				m.stats.Uncorrectable++
-				return fmt.Errorf("%w: address %d", ErrDataLoss, addr)
-			}
-			if ce[i].Result.CorrectedBits > 0 {
-				corrected += ce[i].Result.CorrectedBits
-				mode := ecc.ModeWeak
-				if m.ctl.IsStrong(addr) {
-					mode = ecc.ModeStrong
-				}
-				m.data[addr] = cd[i]
-				m.spare[addr] = m.codec.Encode(cd[i], mode)
-			}
-		}
-		addrs = addrs[:0]
-		return nil
-	}
-	for addr := range m.data {
-		if !m.inited[addr] {
-			continue
-		}
-		addrs = append(addrs, uint64(addr))
-		if len(addrs) == sweepChunk {
-			if err := flush(); err != nil {
-				return corrected, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return corrected, err
-	}
-	m.stats.CorrectedBits += uint64(corrected)
-	return corrected, nil
 }

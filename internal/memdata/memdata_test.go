@@ -87,7 +87,7 @@ func TestColdReadDowngradesAndPreservesZero(t *testing.T) {
 	if !got.IsZero() {
 		t.Fatal("cold read returned nonzero data")
 	}
-	if m.Controller().IsStrong(7) {
+	if m.ctl.IsStrong(7) {
 		t.Error("line should be weak after demand read")
 	}
 	if m.Stats().DowngradedLines != 1 {
@@ -152,37 +152,6 @@ func TestIdleForRequiresIdlePhase(t *testing.T) {
 	m := newMemory(t)
 	if err := m.IdleFor(time.Minute, time.Second); err == nil {
 		t.Error("IdleFor in active phase: want error")
-	}
-}
-
-func TestScrubClearsAccumulatedErrors(t *testing.T) {
-	m := newMemory(t)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 256; i++ {
-		if err := m.Write(uint64(i), randLine(rng), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.EnterIdle(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.IdleFor(time.Minute, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	corrected, err := m.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrected == 0 {
-		t.Fatal("scrub found nothing at stress BER")
-	}
-	// A second scrub immediately after finds a clean array.
-	again, err := m.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 {
-		t.Errorf("second scrub corrected %d bits", again)
 	}
 }
 
@@ -281,11 +250,8 @@ func TestLongRunIntegritySoak(t *testing.T) {
 			}
 		}
 	}
-	// Final full verification via scrub + reads.
+	// Final full verification via reads.
 	if _, err := m.EnterIdle(now); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Scrub(); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.ExitIdle(now + 1); err != nil {

@@ -21,7 +21,7 @@ func runSweepScenario(t *testing.T, workers int) *Memory {
 	}
 	p := batch.NewPool(workers)
 	t.Cleanup(p.Close)
-	m.SetSweepPool(p)
+	m.setPool(p)
 	if err := m.ExitIdle(0); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func runSweepScenario(t *testing.T, workers int) *Memory {
 // or 16 workers.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := runSweepScenario(t, 1)
-	refWeak := ref.Controller().AppendWeakLines(nil)
+	refWeak := ref.ctl.AppendWeakLines(nil)
 	for _, workers := range []int{4, 16} {
 		m := runSweepScenario(t, workers)
 		if m.Stats() != ref.Stats() {
@@ -82,7 +82,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("workers=%d: spare[%d] diverged", workers, addr)
 			}
 		}
-		weak := m.Controller().AppendWeakLines(nil)
+		weak := m.ctl.AppendWeakLines(nil)
 		if len(weak) != len(refWeak) {
 			t.Fatalf("workers=%d: %d weak lines, want %d", workers, len(weak), len(refWeak))
 		}
@@ -191,7 +191,7 @@ func TestSweepMatchesUnshardedReference(t *testing.T) {
 
 	m := build()
 	ref := build()
-	refWeak := ref.Controller().AppendWeakLines(nil)
+	refWeak := ref.ctl.AppendWeakLines(nil)
 	wantUpgraded, wantUncorrectable := uint64(0), uint64(0)
 	refData := make([]line.Line, len(ref.data))
 	refSpare := make([]uint64, len(ref.spare))

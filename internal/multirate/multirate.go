@@ -86,15 +86,6 @@ func NewRAIDR(profile *RowProfile, bins []time.Duration) (*RAIDR, error) {
 	return r, nil
 }
 
-// BinCounts returns how many rows landed in each bin.
-func (r *RAIDR) BinCounts() []int {
-	counts := make([]int, len(r.bins))
-	for _, b := range r.rowBin {
-		counts[b]++
-	}
-	return counts
-}
-
 // RefreshRateNorm returns the scheme's refresh-operation rate relative
 // to refreshing everything at bins[0].
 func (r *RAIDR) RefreshRateNorm() float64 {
@@ -152,12 +143,6 @@ func NewFlikker(criticalFraction float64, base, relaxed time.Duration) (*Flikker
 func (f *Flikker) RefreshRateNorm() float64 {
 	ratio := f.Base.Seconds() / f.Relaxed.Seconds()
 	return f.CriticalFraction + (1-f.CriticalFraction)*ratio
-}
-
-// ExposedErrorRate returns the bit error rate the application must
-// tolerate in the non-critical region.
-func (f *Flikker) ExposedErrorRate(model *retention.Model) float64 {
-	return model.BER(f.Relaxed)
 }
 
 // SECRET models Shen et al.'s ICCD'12 scheme: cells profiled as failing

@@ -58,13 +58,9 @@ func TestRAIDRBinningAndSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := r.BinCounts()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 32768 {
-		t.Fatalf("bin counts sum %d", total)
+	counts := make([]int, len(bins))
+	for _, b := range r.rowBin {
+		counts[b]++
 	}
 	// At these BERs almost every row retains >256 ms: the top bin
 	// dominates (that is RAIDR's whole premise).
@@ -130,11 +126,6 @@ func TestFlikkerEffectiveRate(t *testing.T) {
 	// MECC by contrast reaches 1/16 = 0.0625 for the whole memory.
 	if got < 0.0625*3 {
 		t.Error("Flikker should be far worse than MECC's 1/16")
-	}
-	// Exposed non-critical error rate equals BER(1s).
-	model := retention.DefaultModel()
-	if rate := f.ExposedErrorRate(model); math.Abs(rate-retention.SlowBitErrorRate)/retention.SlowBitErrorRate > 1e-9 {
-		t.Errorf("exposed BER = %g", rate)
 	}
 	if _, err := NewFlikker(1.5, ms(64), time.Second); err == nil {
 		t.Error("bad fraction: want error")

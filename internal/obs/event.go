@@ -127,15 +127,6 @@ type KindMask uint32
 // MaskAll selects every kind.
 const MaskAll = ^KindMask(0)
 
-// MaskOf builds a mask from kinds.
-func MaskOf(kinds ...Kind) KindMask {
-	var m KindMask
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
 // Has reports whether the mask selects the kind.
 func (m KindMask) Has(k Kind) bool { return m&(1<<k) != 0 }
 
@@ -266,10 +257,6 @@ func (e *Event) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// AppendJSON exposes the streaming encoder (for tools that format
-// events without an EventLog).
-func (e Event) AppendJSON(b []byte) []byte { return e.appendJSON(b) }
-
 // ReadJSONL parses a JSONL event stream (one event per line; blank
 // lines are skipped).
 func ReadJSONL(r io.Reader) ([]Event, error) {
@@ -299,26 +286,23 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // cannot grow without bound; streamed output is unaffected.
 const defaultRetained = 1 << 20
 
-// EventLog collects emitted events: it counts every event by kind,
-// retains a bounded in-memory window (for the timeline renderer), and
-// optionally streams every event as JSONL to a writer. Safe for
-// concurrent emitters (parallel experiment sweeps share one log).
+// EventLog collects emitted events: it retains a bounded in-memory
+// window (for the timeline renderer) and optionally streams every event
+// as JSONL to a writer. Safe for concurrent emitters (parallel
+// experiment sweeps share one log).
 type EventLog struct {
 	mu          sync.Mutex
 	mask        KindMask
-	retainMask  KindMask
 	maxRetained int
 	events      []Event
-	dropped     uint64
 	w           *bufio.Writer
 	buf         []byte
-	counts      [maxKind + 1]uint64
 }
 
 // NewEventLog builds a log that captures every kind, retains up to
 // defaultRetained events in memory, and streams nowhere.
 func NewEventLog() *EventLog {
-	return &EventLog{mask: MaskAll, retainMask: MaskAll, maxRetained: defaultRetained}
+	return &EventLog{mask: MaskAll, maxRetained: defaultRetained}
 }
 
 // SetMask restricts which kinds are captured at all.
@@ -326,17 +310,6 @@ func (l *EventLog) SetMask(m KindMask) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.mask = m
-}
-
-// SetRetention restricts which kinds are retained in memory and how
-// many (max <= 0 keeps the current bound). Streaming is unaffected.
-func (l *EventLog) SetRetention(m KindMask, max int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retainMask = m
-	if max > 0 {
-		l.maxRetained = max
-	}
 }
 
 // SetStream directs a JSONL copy of every captured event to w. Call
@@ -354,15 +327,8 @@ func (l *EventLog) add(e Event) {
 	if !l.mask.Has(e.Kind) {
 		return
 	}
-	if e.Kind <= maxKind {
-		l.counts[e.Kind]++
-	}
-	if l.retainMask.Has(e.Kind) {
-		if len(l.events) < l.maxRetained {
-			l.events = append(l.events, e)
-		} else {
-			l.dropped++
-		}
+	if len(l.events) < l.maxRetained {
+		l.events = append(l.events, e)
 	}
 	if l.w != nil {
 		l.buf = e.appendJSON(l.buf[:0])
@@ -378,35 +344,6 @@ func (l *EventLog) Events() []Event {
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
 	return out
-}
-
-// Count returns how many events of the kind were captured.
-func (l *EventLog) Count(k Kind) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if k > maxKind {
-		return 0
-	}
-	return l.counts[k]
-}
-
-// Total returns the total captured event count.
-func (l *EventLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n uint64
-	for _, c := range l.counts {
-		n += c
-	}
-	return n
-}
-
-// Dropped returns how many events exceeded the retention bound (they
-// were still counted and streamed).
-func (l *EventLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Flush drains the stream buffer to the underlying writer.

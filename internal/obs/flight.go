@@ -80,14 +80,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{mask: uint64(n - 1), slots: make([]flightSlot, n)}
 }
 
-// Cap returns the ring capacity in events (0 on a nil receiver).
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.slots)
-}
-
 // Recorded returns how many events have ever been recorded (the ring
 // retains the most recent Cap of them).
 func (f *FlightRecorder) Recorded() uint64 {

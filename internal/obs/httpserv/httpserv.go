@@ -51,7 +51,6 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
 
@@ -79,9 +78,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the endpoint mux (for embedding in another server).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start listens on addr (":0" picks a free port) and serves in a
 // background goroutine. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
@@ -89,7 +85,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs server: %w", err)
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		defer close(s.done)

@@ -52,14 +52,6 @@ func (r *Recorder) SetFlightRecorder(f *FlightRecorder) {
 	r.flight = f
 }
 
-// FlightRecorder returns the attached flight recorder, if any.
-func (r *Recorder) FlightRecorder() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.flight
-}
-
 // SetProgress attaches (or, with nil, detaches) a progress tracker.
 func (r *Recorder) SetProgress(p *Progress) {
 	if r == nil {
@@ -83,14 +75,6 @@ func (r *Recorder) Registry() *Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// EventLog returns the attached event log, if any.
-func (r *Recorder) EventLog() *EventLog {
-	if r == nil {
-		return nil
-	}
-	return r.log
 }
 
 // Sampler returns the attached sampler, if any.

@@ -129,15 +129,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
-// Mean returns the arithmetic mean of the samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // bucketUpper returns the inclusive upper bound of bucket i.
 func bucketUpper(i int) uint64 {
 	if i == 0 {

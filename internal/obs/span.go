@@ -90,11 +90,3 @@ func (s *Span) ID() uint64 {
 	}
 	return s.id
 }
-
-// Name returns the span label ("" on a nil receiver).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}

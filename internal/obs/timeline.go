@@ -71,14 +71,6 @@ func NewTimeline(s *Sampler, events []Event) *Timeline {
 	return &Timeline{sampler: s, events: events, width: 72}
 }
 
-// SetWidth sets the strip width in columns (minimum 16).
-func (t *Timeline) SetWidth(w int) {
-	if w < 16 {
-		w = 16
-	}
-	t.width = w
-}
-
 // span returns the covered cycle range's end.
 func (t *Timeline) span() uint64 {
 	var end uint64

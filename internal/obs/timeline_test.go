@@ -56,7 +56,7 @@ func TestTimelineRendersStripsAndIntervals(t *testing.T) {
 		{T: 700, Kind: KindDecode, Cycles: 30},
 	}
 	tl := NewTimeline(s, events)
-	tl.SetWidth(20)
+	tl.width = 20
 	out := tl.String()
 
 	for _, want := range []string{

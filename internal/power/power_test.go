@@ -125,8 +125,12 @@ func TestEnergyBreakdown(t *testing.T) {
 
 func TestAutoRefreshPower(t *testing.T) {
 	c := newCalc(t)
-	got := c.AutoRefreshPower()
-	// (100-20) mA * 1.7 V * 14/1560 ≈ 1.22 mW.
+	cfg := dram.DefaultConfig()
+	// Distributed auto-refresh at the JEDEC rate, one REF per tREFI: as a
+	// power, (100-20) mA * 1.7 V * 14/1560 ≈ 1.22 mW.
+	const refs = 1000
+	span := refs * float64(cfg.Timing.TREFI) / float64(cfg.ClockHz)
+	got := c.Energy(dram.Stats{NREF: refs}).RefreshJ / span
 	want := (100 - 20.0) * 1.7 / 1000 * 14 / 1560
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("auto refresh power = %g, want %g", got, want)

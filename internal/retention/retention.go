@@ -2,9 +2,7 @@
 // cumulative bit-failure probability as a function of refresh period
 // (paper Fig. 2, derived from Kim & Lee's 60 nm characterization), plus a
 // fault injector that plants retention errors into stored lines at the
-// modelled bit error rate, and a variable-retention-time (VRT) episode
-// injector for the failure mode that defeats profiling-based schemes
-// (Section VII-B).
+// modelled bit error rate.
 package retention
 
 import (
@@ -106,16 +104,6 @@ func (m *Model) BERAtTemp(period time.Duration, tempC float64) float64 {
 	return m.BER(time.Duration(float64(period) * factor))
 }
 
-// PeriodForAtTemp returns the largest refresh period meeting a target
-// BER at the given temperature.
-//
-//meccvet:unitconv
-func (m *Model) PeriodForAtTemp(targetBER, tempC float64) time.Duration {
-	base := m.PeriodFor(targetBER)
-	factor := math.Pow(2, (tempC-NominalTempC)/RetentionHalvingC)
-	return time.Duration(float64(base) / factor)
-}
-
 // Curve samples the model at logarithmically spaced periods in [lo, hi],
 // for rendering Fig. 2. It returns parallel period and BER slices.
 //
@@ -154,9 +142,6 @@ func NewInjector(seed int64, ber float64) *Injector {
 		lnq: math.Log1p(-ber),
 	}
 }
-
-// BER returns the injector's configured bit error rate.
-func (in *Injector) BER() float64 { return in.ber }
 
 // FlipPositions returns the positions in [0, nbits) that fail, in
 // increasing order. The expected count is nbits*ber.
@@ -197,78 +182,6 @@ func (in *Injector) FlipPositionsAppend(nbits int, buf []int) []int {
 	}
 }
 
-// CountErrors draws how many of nbits fail, without materializing
-// positions — a Binomial(nbits, ber) sample used by the large-scale
-// reliability Monte Carlo.
-func (in *Injector) CountErrors(nbits int) int {
-	if in.ber <= 0 {
-		return 0
-	}
-	n := 0
-	pos := -1
-	for {
-		u := in.rng.Float64()
-		for u == 0 {
-			u = in.rng.Float64()
-		}
-		pos += int(math.Floor(math.Log(u)/in.lnq)) + 1
-		if pos >= nbits {
-			return n
-		}
-		n++
-	}
-}
-
-// VRTCell describes one cell undergoing variable retention time: it
-// toggles between a good and a leaky state with exponentially distributed
-// dwell times. Profiling-based schemes (RAPID/RAIDR/SECRET) are blind to
-// these cells; MECC tolerates them because its ECC-6 budget covers random
-// failures wherever they appear (Section VII-B).
-type VRTCell struct {
-	// Bit is the cell's bit index within its line.
-	Bit int
-	// LineIndex is the owning line's index in memory.
-	LineIndex uint64
-}
-
-// VRTPopulation samples which cells of a memory are VRT-afflicted and
-// whether each is currently leaky at a given observation.
-type VRTPopulation struct {
-	rng       *rand.Rand
-	cells     []VRTCell
-	leakyFrac float64
-}
-
-// NewVRTPopulation draws nCells VRT cells uniformly over a memory of
-// totalLines lines with bitsPerLine bits each. leakyFrac is the duty cycle
-// of the leaky state.
-func NewVRTPopulation(seed int64, nCells int, totalLines uint64, bitsPerLine int, leakyFrac float64) *VRTPopulation {
-	rng := rand.New(rand.NewSource(seed))
-	cells := make([]VRTCell, nCells)
-	for i := range cells {
-		cells[i] = VRTCell{
-			Bit:       rng.Intn(bitsPerLine),
-			LineIndex: uint64(rng.Int63n(int64(totalLines))),
-		}
-	}
-	return &VRTPopulation{rng: rng, cells: cells, leakyFrac: leakyFrac}
-}
-
-// ActiveFailures returns the VRT cells that are leaky at this observation:
-// each cell independently with probability leakyFrac.
-func (v *VRTPopulation) ActiveFailures() []VRTCell {
-	var out []VRTCell
-	for _, c := range v.cells {
-		if v.rng.Float64() < v.leakyFrac {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Cells returns the full VRT population.
-func (v *VRTPopulation) Cells() []VRTCell { return v.cells }
-
 // Operating-range bounds for junction-temperature inputs. LPDDR parts
 // are specified from -40 degC to an extended-temperature ceiling; inputs
 // outside this window are rejected with ErrBadTemperature rather than
@@ -285,9 +198,6 @@ const (
 // [MinTempC, MaxTempC].
 var ErrBadTemperature = errors.New("retention: temperature out of range")
 
-// ErrBadProfile reports an invalid temperature-profile step sequence.
-var ErrBadProfile = errors.New("retention: profile steps must have increasing start times")
-
 // CheckTemp validates a junction temperature against the operating
 // range, returning a wrapped ErrBadTemperature when it is outside
 // [MinTempC, MaxTempC] or NaN.
@@ -296,92 +206,4 @@ func CheckTemp(tempC float64) error {
 		return fmt.Errorf("%w: %g degC (want %g..%g)", ErrBadTemperature, tempC, MinTempC, MaxTempC)
 	}
 	return nil
-}
-
-// TempStep is one piece of a piecewise-constant temperature profile: the
-// junction temperature is TempC from Start until the next step.
-type TempStep struct {
-	// Start is the step's activation time on the profile's clock.
-	Start time.Duration
-	// TempC is the junction temperature from Start on.
-	TempC float64
-}
-
-// TempProfile is a piecewise-constant junction-temperature trajectory —
-// the hook the scenario framework uses to model thermal drift shifting
-// the retention curve mid-run. It is immutable after construction.
-type TempProfile struct {
-	steps []TempStep
-}
-
-// NewTempProfile builds a profile from steps ordered by strictly
-// increasing Start, the first of which must start at 0 so every instant
-// has a defined temperature. Each step's temperature must pass
-// CheckTemp.
-func NewTempProfile(steps ...TempStep) (*TempProfile, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("%w: no steps", ErrBadProfile)
-	}
-	if steps[0].Start != 0 {
-		return nil, fmt.Errorf("%w: first step starts at %v, want 0", ErrBadProfile, steps[0].Start)
-	}
-	for i, s := range steps {
-		if err := CheckTemp(s.TempC); err != nil {
-			return nil, fmt.Errorf("step %d: %w", i, err)
-		}
-		if i > 0 && s.Start <= steps[i-1].Start {
-			return nil, fmt.Errorf("%w: step %d at %v after %v", ErrBadProfile, i, s.Start, steps[i-1].Start)
-		}
-	}
-	return &TempProfile{steps: append([]TempStep(nil), steps...)}, nil
-}
-
-// ConstantTemp is a single-step profile at one temperature.
-func ConstantTemp(tempC float64) (*TempProfile, error) {
-	return NewTempProfile(TempStep{Start: 0, TempC: tempC})
-}
-
-// At returns the temperature at time t (times before 0 read the first
-// step).
-func (p *TempProfile) At(t time.Duration) float64 {
-	cur := p.steps[0].TempC
-	for _, s := range p.steps[1:] {
-		if s.Start > t {
-			break
-		}
-		cur = s.TempC
-	}
-	return cur
-}
-
-// MaxOver returns the hottest temperature the profile reaches in
-// [from, to] — the conservative input for retention-safety checks over
-// an interval (retention only degrades with heat).
-func (p *TempProfile) MaxOver(from, to time.Duration) float64 {
-	if to < from {
-		from, to = to, from
-	}
-	hottest := p.At(from)
-	for _, s := range p.steps {
-		if s.Start > from && s.Start <= to && s.TempC > hottest {
-			hottest = s.TempC
-		}
-	}
-	return hottest
-}
-
-// Steps returns a copy of the profile's steps.
-func (p *TempProfile) Steps() []TempStep {
-	return append([]TempStep(nil), p.steps...)
-}
-
-// WorstBEROver returns the bit failure probability at a refresh period
-// under the hottest temperature the profile reaches in [from, to] — the
-// guardband number a scheme must budget for when it commits to a
-// refresh divider for that interval.
-func (m *Model) WorstBEROver(period time.Duration, p *TempProfile, from, to time.Duration) float64 {
-	if p == nil {
-		return m.BER(period)
-	}
-	return m.BERAtTemp(period, p.MaxOver(from, to))
 }

@@ -160,7 +160,7 @@ func faultPlan(s Spec, opts Options) *checker.FaultPlan {
 	if len(faults) == 0 {
 		return nil
 	}
-	return &checker.FaultPlan{Seed: s.seed(), Faults: faults}
+	return &checker.FaultPlan{Faults: faults}
 }
 
 // firstProfile picks the runner's nominal profile: the first

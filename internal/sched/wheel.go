@@ -35,7 +35,7 @@ const (
 // Wheel is a hierarchical timing wheel over dense small integer event
 // ids. It is not safe for concurrent use. All storage is in flat arrays
 // indexed by id and grown geometrically, so steady-state Schedule /
-// Cancel / Advance / PopDue perform no heap allocations.
+// Cancel / Advance perform no heap allocations.
 //
 // Invariants (the correctness core):
 //   - an event at level L, slot s always has s > the current time's
@@ -43,7 +43,7 @@ const (
 //     hence within a level, lower slots hold strictly earlier deadlines,
 //     and every level-L deadline precedes every level-(L+1) deadline;
 //   - the due list holds exactly the scheduled events with deadline <=
-//     Now();
+//     now;
 //   - the far list holds exactly the events beyond the 2^36 horizon.
 //
 // Together these make Next exact: it is the minimum over the due list,
@@ -99,9 +99,6 @@ func NewWheel(now uint64, capacityHint int) *Wheel {
 	return w
 }
 
-// Now returns the wheel's current time.
-func (w *Wheel) Now() uint64 { return w.now }
-
 // Len returns the number of scheduled events (including matured ones
 // not yet popped).
 func (w *Wheel) Len() int { return w.n }
@@ -131,8 +128,8 @@ func (w *Wheel) grow(id int32) {
 }
 
 // Schedule (re)schedules event id at absolute time at. A deadline at or
-// before Now() matures immediately (PopDue will return it). Scheduling
-// an already-pending id moves it.
+// before the current time matures immediately (it joins the due list).
+// Scheduling an already-pending id moves it.
 //
 //meccvet:hotpath
 func (w *Wheel) Schedule(id int32, at uint64) {
@@ -251,21 +248,6 @@ func (w *Wheel) unlink(id int32) {
 			w.far = nx
 		}
 	}
-}
-
-// PopDue removes and returns one matured event (deadline <= Now()), or
-// (-1, false) when none are pending.
-//
-//meccvet:hotpath
-func (w *Wheel) PopDue() (int32, bool) {
-	id := w.due
-	if id == nilRef {
-		return -1, false
-	}
-	w.unlink(id)
-	w.where[id] = whereNone
-	w.n--
-	return id, true
 }
 
 // Next returns the earliest pending deadline (matured events report

@@ -41,6 +41,19 @@ func (n *naive) dueSet() []int32 {
 	return due
 }
 
+// PopDue removes and returns one matured event (deadline <= now), or
+// (-1, false) when none are pending.
+func (w *Wheel) PopDue() (int32, bool) {
+	id := w.due
+	if id == nilRef {
+		return -1, false
+	}
+	w.unlink(id)
+	w.where[id] = whereNone
+	w.n--
+	return id, true
+}
+
 // drainDue pops everything matured from the wheel and returns the
 // sorted id set.
 func drainDue(w *Wheel) []int32 {
@@ -75,13 +88,13 @@ func TestWheelDifferential(t *testing.T) {
 				var at uint64
 				switch rng.Intn(4) {
 				case 0:
-					at = w.Now() + 1 + uint64(rng.Intn(100))
+					at = w.now + 1 + uint64(rng.Intn(100))
 				case 1:
-					at = w.Now() + uint64(rng.Intn(1<<14))
+					at = w.now + uint64(rng.Intn(1<<14))
 				case 2:
-					at = w.Now() + uint64(rng.Int63n(1<<30))
+					at = w.now + uint64(rng.Int63n(1<<30))
 				default:
-					at = w.Now() + uint64(rng.Int63n(1<<40))
+					at = w.now + uint64(rng.Int63n(1<<40))
 				}
 				w.Schedule(id, at)
 				ref.schedule(id, at)
@@ -102,13 +115,13 @@ func TestWheelDifferential(t *testing.T) {
 					delta = uint64(rng.Int63n(1 << 37))
 				default:
 					// Jump straight to (or past) the next edge.
-					if at, ok := ref.next(); ok && at > w.Now() {
-						delta = at - w.Now() + uint64(rng.Intn(2))
+					if at, ok := ref.next(); ok && at > w.now {
+						delta = at - w.now + uint64(rng.Intn(2))
 					} else {
 						delta = 1
 					}
 				}
-				w.Advance(w.Now() + delta)
+				w.Advance(w.now + delta)
 				ref.now += delta
 				wantDue := ref.dueSet()
 				gotDue := drainDue(w)

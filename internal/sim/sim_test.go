@@ -203,7 +203,10 @@ func TestRunnerWithExternalSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := gen.Take(5000)
+	recs := make([]trace.Record, 5000)
+	for i := range recs {
+		recs[i], _ = gen.Next()
+	}
 	cfg := DefaultConfig(SchemeSECDED, testInstrs)
 	r, err := NewRunnerWithSource(prof, trace.NewSliceSource(recs), cfg)
 	if err != nil {

@@ -18,10 +18,6 @@ var ErrEmpty = errors.New("stats: empty input")
 // non-finite value.
 var ErrNonPositive = errors.New("stats: non-positive value")
 
-// ErrZeroBaseline reports a normalization against a zero or non-finite
-// baseline.
-var ErrZeroBaseline = errors.New("stats: zero baseline")
-
 // Geomean returns the geometric mean of positive values.
 func Geomean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -47,20 +43,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// Normalize divides each value by the baseline. A zero or non-finite
-// baseline returns ErrZeroBaseline rather than silently producing zeros
-// or infinities.
-func Normalize(xs []float64, baseline float64) ([]float64, error) {
-	if baseline == 0 || math.IsNaN(baseline) || math.IsInf(baseline, 0) {
-		return nil, fmt.Errorf("%w: %g", ErrZeroBaseline, baseline)
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / baseline
-	}
-	return out, nil
 }
 
 // Table renders fixed-width text tables for harness output.

@@ -46,30 +46,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got, err := Normalize([]float64{2, 4}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0.5 || got[1] != 1 {
-		t.Errorf("normalize = %v", got)
-	}
-	bad := []struct {
-		name     string
-		baseline float64
-	}{
-		{"zero", 0},
-		{"nan", math.NaN()},
-		{"+inf", math.Inf(1)},
-		{"-inf", math.Inf(-1)},
-	}
-	for _, tc := range bad {
-		if _, err := Normalize([]float64{1}, tc.baseline); !errors.Is(err, ErrZeroBaseline) {
-			t.Errorf("%s baseline: err = %v, want ErrZeroBaseline", tc.name, err)
-		}
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value", "prob")
 	tb.AddRow("libq", 0.787, 1.8e-9)

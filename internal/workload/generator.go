@@ -15,9 +15,8 @@ import (
 // WriteFrac. It implements trace.Source and is deterministic for a given
 // seed. Not safe for concurrent use.
 type Generator struct {
-	prof       Profile
-	rng        *rand.Rand
-	totalLines uint64 // memory size in lines
+	prof Profile
+	rng  *rand.Rand
 	// Footprint layout: Fragments regions, each regionLines long, with
 	// deterministic pseudo-random bases.
 	regionBases []uint64
@@ -49,7 +48,6 @@ func NewGenerator(prof Profile, totalLines uint64, seed int64) (*Generator, erro
 	g := &Generator{
 		prof:         prof,
 		rng:          rand.New(rand.NewSource(seed)),
-		totalLines:   totalLines,
 		regionLines:  footLines / uint64(prof.Fragments),
 		meanGap:      1000/prof.MPKI - 1,
 		burstGapMult: 1,
@@ -83,9 +81,6 @@ func NewGenerator(prof Profile, totalLines uint64, seed int64) (*Generator, erro
 	g.cur = g.randomLine()
 	return g, nil
 }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
 
 // randomLine picks a uniform line within the footprint.
 func (g *Generator) randomLine() uint64 {
@@ -159,19 +154,6 @@ func (g *Generator) Next() (trace.Record, bool) {
 		Op:       trace.OpRead,
 		LineAddr: g.cur,
 	}, true
-}
-
-// Take materializes the next n records into a slice.
-func (g *Generator) Take(n int) []trace.Record {
-	out := make([]trace.Record, 0, n)
-	for i := 0; i < n; i++ {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // Bounded wraps a source and stops after the given instruction budget.

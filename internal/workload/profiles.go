@@ -11,8 +11,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/trace"
 )
 
 // ErrUnknownBenchmark reports a name outside the 28-benchmark suite.
@@ -234,90 +232,6 @@ func MobileByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("%w: %q", ErrUnknownBenchmark, name)
-}
-
-// EstimateProfile reverse-engineers a Profile from trace statistics and
-// a measured stride-1 rate: the round trip lets externally captured
-// traces (cmd/tracegen output, or real miss traces converted to the text
-// format) be re-synthesized at other scales. BaseCPI cannot be observed
-// from a memory trace and must be supplied.
-func EstimateProfile(name string, s TraceSummary, baseCPI float64) Profile {
-	p := Profile{
-		Name:        name,
-		MPKI:        s.MPKI,
-		BaseCPI:     baseCPI,
-		FootprintMB: int(s.FootprintBytes >> 20),
-		SeqProb:     s.Stride1Rate,
-		WriteFrac:   s.WriteFrac,
-		Fragments:   1,
-	}
-	if p.FootprintMB < 1 {
-		p.FootprintMB = 1
-		p.FootprintLinesOverride = s.FootprintBytes / 64
-		if p.FootprintLinesOverride < 64 {
-			p.FootprintLinesOverride = 64
-		}
-	}
-	if p.MPKI <= 0 {
-		p.MPKI = 0.01
-	}
-	if p.BaseCPI < 0.5 {
-		p.BaseCPI = 0.5
-	}
-	return p
-}
-
-// TraceSummary is the input to EstimateProfile, computed by Summarize.
-type TraceSummary struct {
-	// MPKI is read misses per kilo-instruction.
-	MPKI float64
-	// FootprintBytes is unique lines x 64.
-	FootprintBytes uint64
-	// WriteFrac is writebacks per read.
-	WriteFrac float64
-	// Stride1Rate is the fraction of reads at +1 line from their
-	// predecessor.
-	Stride1Rate float64
-}
-
-// Summarize computes a TraceSummary from a record stream.
-func Summarize(src trace.Source) TraceSummary {
-	var (
-		out         TraceSummary
-		instrs      uint64
-		reads, wrs  uint64
-		stride1     uint64
-		prev        uint64
-		havePrev    bool
-		uniqueLines = make(map[uint64]struct{})
-	)
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		instrs += uint64(rec.Gap) + 1
-		uniqueLines[rec.LineAddr] = struct{}{}
-		if rec.Op == trace.OpWrite {
-			wrs++
-			continue
-		}
-		reads++
-		if havePrev && rec.LineAddr == prev+1 {
-			stride1++
-		}
-		prev = rec.LineAddr
-		havePrev = true
-	}
-	if instrs > 0 {
-		out.MPKI = float64(reads) / float64(instrs) * 1000
-	}
-	out.FootprintBytes = uint64(len(uniqueLines)) * 64
-	if reads > 0 {
-		out.WriteFrac = float64(wrs) / float64(reads)
-		out.Stride1Rate = float64(stride1) / float64(reads)
-	}
-	return out
 }
 
 // Daemon returns a synthetic profile for the short periodic background

@@ -188,6 +188,19 @@ func TestGeneratorSequentialLocality(t *testing.T) {
 	}
 }
 
+// take materializes the next n records of a generator.
+func take(g *Generator, n int) []trace.Record {
+	out := make([]trace.Record, 0, n)
+	for i := 0; i < n; i++ {
+		r, ok := g.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	p, err := ByName("gcc")
 	if err != nil {
@@ -201,7 +214,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb := a.Take(10_000), b.Take(10_000)
+	ra, rb := take(a, 10_000), take(b, 10_000)
 	for i := range ra {
 		if ra[i] != rb[i] {
 			t.Fatalf("divergence at %d", i)
@@ -211,7 +224,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := c.Take(10_000)
+	rc := take(c, 10_000)
 	same := 0
 	for i := range ra {
 		if ra[i] == rc[i] {
@@ -358,41 +371,5 @@ func TestMobileProfiles(t *testing.T) {
 	}
 	if rate := float64(hits) / float64(n); rate < 0.85 {
 		t.Errorf("videoplay stride-1 rate = %.2f", rate)
-	}
-}
-
-// TestProfileEstimationRoundTrip: generate a trace from a known profile,
-// estimate a profile back from it, and verify the key knobs survive.
-func TestProfileEstimationRoundTrip(t *testing.T) {
-	orig, err := ByName("zeusmp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig = orig.Scaled(200)
-	g, err := NewGenerator(orig, memLines, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	summary := Summarize(NewBounded(g, 3_000_000))
-	est := EstimateProfile("zeusmp-est", summary, orig.BaseCPI)
-
-	if math.Abs(est.MPKI-orig.MPKI)/orig.MPKI > 0.10 {
-		t.Errorf("estimated MPKI %.2f vs %.2f", est.MPKI, orig.MPKI)
-	}
-	if math.Abs(est.WriteFrac-orig.WriteFrac) > 0.05 {
-		t.Errorf("estimated write frac %.2f vs %.2f", est.WriteFrac, orig.WriteFrac)
-	}
-	// Stride-1 rate approximates SeqProb for a streaming profile.
-	if math.Abs(est.SeqProb-orig.SeqProb) > 0.12 {
-		t.Errorf("estimated seq %.2f vs %.2f", est.SeqProb, orig.SeqProb)
-	}
-	// The estimated profile is itself generatable.
-	if _, err := NewGenerator(est, memLines, 1); err != nil {
-		t.Fatalf("estimated profile not generatable: %v", err)
-	}
-	// Degenerate inputs are clamped, not rejected.
-	junk := EstimateProfile("junk", TraceSummary{}, 0)
-	if _, err := NewGenerator(junk, memLines, 1); err != nil {
-		t.Errorf("clamped junk profile not generatable: %v", err)
 	}
 }
