@@ -16,7 +16,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -31,36 +30,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// openOut opens an output sink; "-" is stdout (whose closer is a no-op).
-func openOut(path string) (io.Writer, func() error, error) {
-	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-// writeMetrics dumps the registry to path — CSV when the name ends in
-// .csv, Prometheus text exposition otherwise.
-func writeMetrics(reg *obs.Registry, path string) error {
-	w, closeFn, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = reg.WriteCSV(w)
-	} else {
-		err = reg.WriteProm(w)
-	}
-	if cerr := closeFn(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // openTrace opens a trace file as a streaming source; the returned
 // closer releases the file once the run completes.
@@ -222,7 +191,7 @@ func run() error {
 			elog = obs.NewEventLog()
 			elog.SetMask(mask)
 			if *traceOut != "" {
-				w, closeFn, err := openOut(*traceOut)
+				w, closeFn, err := obs.OpenOut(*traceOut)
 				if err != nil {
 					return err
 				}
@@ -253,7 +222,7 @@ func run() error {
 	// invariant fire, panic in the run, SIGQUIT, or (when -flight-out is
 	// set) normal exit. Incidents go to -flight-out when set, stderr
 	// otherwise.
-	dumpFlight := newFlightDumper("meccsim", flight, *flightOut)
+	dumpFlight := obs.NewFlightDumper("meccsim", flight, *flightOut)
 	if flight != nil {
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
@@ -338,7 +307,7 @@ func run() error {
 			return fmt.Errorf("flush trace: %w", err)
 		}
 		if *metricsOut != "" {
-			if err := writeMetrics(cfg.Obs.Registry(), *metricsOut); err != nil {
+			if err := obs.WriteMetrics(cfg.Obs.Registry(), *metricsOut); err != nil {
 				return fmt.Errorf("write metrics: %w", err)
 			}
 		}
@@ -389,37 +358,6 @@ func run() error {
 		fmt.Printf("checkpoint       %12d instr  IPC %.4f\n", cp.Instructions, cp.IPC)
 	}
 	return renderTimeline(*timeline, sampler, elog)
-}
-
-// newFlightDumper returns a dump function that writes the flight
-// recorder's contents as JSONL exactly once, no matter how many
-// incident paths race to trigger it. path selects the sink ("" or an
-// open failure falls back to stderr; "-" is stdout). A nil recorder
-// yields a no-op.
-func newFlightDumper(tool string, f *obs.FlightRecorder, path string) func(reason string) {
-	var once sync.Once
-	return func(reason string) {
-		if f == nil {
-			return
-		}
-		once.Do(func() {
-			w, closeFn := io.Writer(os.Stderr), func() error { return nil }
-			if path != "" {
-				if ww, cf, err := openOut(path); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: flight-out: %v (dumping to stderr)\n", tool, err)
-				} else {
-					w, closeFn = ww, cf
-				}
-			}
-			fmt.Fprintf(os.Stderr, "%s: dumping flight recorder (%s, %d events)\n", tool, reason, len(f.Events()))
-			if err := f.WriteJSONL(w); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", tool, err)
-			}
-			if err := closeFn(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: flight dump close: %v\n", tool, err)
-			}
-		})
-	}
 }
 
 // renderTimeline prints the ASCII run timeline when requested.

@@ -19,13 +19,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -49,18 +47,6 @@ func main() {
 type exhibit struct {
 	name string
 	run  func() error
-}
-
-// openOut opens an output sink; "-" is stdout (whose closer is a no-op).
-func openOut(path string) (io.Writer, func() error, error) {
-	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
 }
 
 func run() error {
@@ -160,7 +146,7 @@ func run() error {
 		elog = obs.NewEventLog()
 		elog.SetMask(mask)
 		if *traceOut != "" {
-			w, closeFn, err := openOut(*traceOut)
+			w, closeFn, err := obs.OpenOut(*traceOut)
 			if err != nil {
 				return err
 			}
@@ -181,7 +167,7 @@ func run() error {
 	// Incident handling: dump the flight recorder's tail once on the
 	// first of checker fire, panic, SIGQUIT, or (with -flight-out)
 	// normal exit.
-	dumpFlight := newFlightDumper("paperbench", flight, *flightOut)
+	dumpFlight := obs.NewFlightDumper("paperbench", flight, *flightOut)
 	if flight != nil {
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
@@ -569,7 +555,7 @@ func run() error {
 		printCounters(rec.Registry())
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(rec.Registry(), *metricsOut); err != nil {
+		if err := obs.WriteMetrics(rec.Registry(), *metricsOut); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}
 	}
@@ -592,37 +578,6 @@ func run() error {
 	return nil
 }
 
-// newFlightDumper returns a dump function that writes the flight
-// recorder's contents as JSONL exactly once, no matter how many
-// incident paths race to trigger it. path selects the sink ("" or an
-// open failure falls back to stderr; "-" is stdout). A nil recorder
-// yields a no-op.
-func newFlightDumper(tool string, f *obs.FlightRecorder, path string) func(reason string) {
-	var once sync.Once
-	return func(reason string) {
-		if f == nil {
-			return
-		}
-		once.Do(func() {
-			w, closeFn := io.Writer(os.Stderr), func() error { return nil }
-			if path != "" {
-				if ww, cf, err := openOut(path); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: flight-out: %v (dumping to stderr)\n", tool, err)
-				} else {
-					w, closeFn = ww, cf
-				}
-			}
-			fmt.Fprintf(os.Stderr, "%s: dumping flight recorder (%s, %d events)\n", tool, reason, len(f.Events()))
-			if err := f.WriteJSONL(w); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", tool, err)
-			}
-			if err := closeFn(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: flight dump close: %v\n", tool, err)
-			}
-		})
-	}
-}
-
 // printCounters renders the non-zero counters accumulated across every
 // simulation of the run.
 func printCounters(reg *obs.Registry) {
@@ -640,22 +595,4 @@ func printCounters(reg *obs.Registry) {
 	}
 	fmt.Println()
 	fmt.Print(tb.String())
-}
-
-// writeMetrics dumps the registry to path — CSV when the name ends in
-// .csv, Prometheus text exposition otherwise.
-func writeMetrics(reg *obs.Registry, path string) error {
-	w, closeFn, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = reg.WriteCSV(w)
-	} else {
-		err = reg.WriteProm(w)
-	}
-	if cerr := closeFn(); err == nil {
-		err = cerr
-	}
-	return err
 }

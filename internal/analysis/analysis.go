@@ -21,10 +21,9 @@
 // once per RunTimed; the concurrency analyzers (lockorder, goleak,
 // chandiscipline) additionally consume an Andersen-style points-to
 // solution (pointsto.go) and a happens-before graph (hb.go) resolving
-// which concrete mutexes and channels each operation touches. An
-// incremental fact cache (factcache.go) replays findings for
-// unchanged packages across runs. See DESIGN.md §9 for the rationale
-// and the suppression syntax.
+// which concrete mutexes and channels each operation touches. Every
+// run is one cold Load plus RunTimed. See DESIGN.md §9 for the
+// rationale, the lint time budget and the suppression syntax.
 package analysis
 
 import (
@@ -153,20 +152,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // across all packages accumulates under its name (plus "program" for
 // the whole-program index build).
 func RunTimed(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duration) []Diagnostic {
-	return runPasses(pkgs, analyzers, nil, nil, timings)
-}
-
-// runPasses is the engine behind RunTimed and the fact cache. skip, when it
-// returns ok, replays previously computed diagnostics for a
-// (package, analyzer) pass instead of running it; record observes each
-// pass's fresh diagnostics (internalErr flags an analyzer failure, whose
-// output must not be cached).
-func runPasses(
-	pkgs []*Package, analyzers []*Analyzer,
-	skip func(pkg *Package, a *Analyzer) ([]Diagnostic, bool),
-	record func(pkg *Package, a *Analyzer, diags []Diagnostic, internalErr bool),
-	timings map[string]time.Duration,
-) []Diagnostic {
 	var out []Diagnostic
 	progStart := time.Now()
 	prog := buildProgram(pkgs)
@@ -185,13 +170,6 @@ func runPasses(
 			continue
 		}
 		for _, a := range analyzers {
-			if skip != nil {
-				if cached, ok := skip(pkg, a); ok {
-					out = append(out, cached...)
-					continue
-				}
-			}
-			var got []Diagnostic
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       pkg.Fset,
@@ -201,35 +179,24 @@ func runPasses(
 				PkgPath:    pkg.PkgPath,
 				Prog:       prog,
 				directives: prog.directives,
-				report:     func(d Diagnostic) { got = append(got, d) },
+				report:     func(d Diagnostic) { out = append(out, d) },
 			}
 			start := time.Now()
 			err := a.Run(pass)
 			if timings != nil {
 				timings[a.Name] += time.Since(start)
 			}
-			internalErr := err != nil
-			if internalErr {
-				got = append(got, Diagnostic{
+			if err != nil {
+				out = append(out, Diagnostic{
 					Pos:      token.Position{Filename: pkg.Dir},
 					Analyzer: a.Name,
 					Message:  fmt.Sprintf("internal analyzer error: %v", err),
 				})
 			}
-			out = append(out, got...)
-			if record != nil {
-				record(pkg, a, got, internalErr)
-			}
 		}
 	}
-	sortDiags(out)
-	return out
-}
-
-// sortDiags orders diagnostics by position, then analyzer, then
-// message — a total order, so cached replays and fresh runs always
-// render byte-identically.
-func sortDiags(out []Diagnostic) {
+	// A total order (position, then analyzer, then message), so a run
+	// always renders byte-identically.
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -246,6 +213,7 @@ func sortDiags(out []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
+	return out
 }
 
 // pathSegment reports whether one of path's slash-separated segments

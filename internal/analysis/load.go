@@ -49,7 +49,6 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	Name       string
-	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
 	Imports    []string
@@ -66,20 +65,9 @@ type listPkg struct {
 // Cgo is disabled for the enumeration so that every dependency is pure
 // Go and can be checked from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	order, _, err := loadMetas(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return checkAll(order), nil
-}
-
-// loadMetas runs the metadata half of Load — enumeration and
-// topological ordering, no parsing or type-checking — so the fact
-// cache can decide whether a sweep even needs the expensive half.
-func loadMetas(dir string, patterns []string) ([]*listPkg, map[string]*listPkg, error) {
 	metas, err := goList(dir, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	byPath := make(map[string]*listPkg, len(metas))
 	for _, m := range metas {
@@ -87,13 +75,8 @@ func loadMetas(dir string, patterns []string) ([]*listPkg, map[string]*listPkg, 
 	}
 	order, err := topoOrder(metas, byPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return order, byPath, nil
-}
-
-// checkAll parses and type-checks an already-ordered package list.
-func checkAll(order []*listPkg) []*Package {
 	fset := token.NewFileSet()
 	built := make(map[string]*types.Package, len(order))
 	imp := &mapImporter{built: built}
@@ -105,7 +88,7 @@ func checkAll(order []*listPkg) []*Package {
 		}
 		out = append(out, pkg)
 	}
-	return out
+	return out, nil
 }
 
 // Roots filters a Load result down to the packages named by the

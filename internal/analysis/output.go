@@ -11,8 +11,9 @@ import (
 )
 
 // A Finding is the machine-readable form of a Diagnostic: the same
-// fact, with the filename relativized so JSON and SARIF output (and the
-// baseline built from them) are stable across checkouts.
+// fact, with the filename and any paths in the message relativized so
+// JSON and SARIF output (and the baseline built from them) are stable
+// across checkouts.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -27,22 +28,28 @@ func (f Finding) String() string {
 }
 
 // Findings converts diagnostics, relativizing filenames against baseDir
-// (paths outside baseDir keep their absolute form).
+// (paths outside baseDir keep their absolute form). Analyzers that cite
+// a second position put its absolute path into the message, so the
+// baseDir prefix is stripped there too.
 func Findings(diags []Diagnostic, baseDir string) []Finding {
 	out := make([]Finding, 0, len(diags))
+	// Clean drops a trailing separator; the root directory yields a
+	// doubled one that never matches, leaving messages absolute.
+	prefix := filepath.Clean(baseDir) + string(filepath.Separator)
 	for _, d := range diags {
-		file := d.Pos.Filename
+		file, msg := d.Pos.Filename, d.Message
 		if baseDir != "" {
 			if rel, err := filepath.Rel(baseDir, file); err == nil && !strings.HasPrefix(rel, "..") {
 				file = filepath.ToSlash(rel)
 			}
+			msg = strings.ReplaceAll(msg, prefix, "")
 		}
 		out = append(out, Finding{
 			File:     file,
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Analyzer: d.Analyzer,
-			Message:  d.Message,
+			Message:  msg,
 		})
 	}
 	return out

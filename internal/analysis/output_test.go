@@ -27,7 +27,8 @@ func sampleDiags() []analysis.Diagnostic {
 }
 
 // TestFindingsRelativize pins the path handling: files under baseDir
-// become slash-relative, files outside keep their absolute form.
+// become slash-relative, files outside keep their absolute form, and
+// secondary positions cited in a message lose the baseDir prefix.
 func TestFindingsRelativize(t *testing.T) {
 	fs := analysis.Findings(sampleDiags(), "/repo")
 	if fs[0].File != "internal/bch/bch.go" || fs[1].File != "cmd/tool/main.go" {
@@ -36,6 +37,21 @@ func TestFindingsRelativize(t *testing.T) {
 	out := analysis.Findings(sampleDiags(), "/elsewhere")
 	if out[0].File != "/repo/internal/bch/bch.go" {
 		t.Fatalf("outside baseDir: file = %q, want absolute", out[0].File)
+	}
+
+	cited := []analysis.Diagnostic{{
+		Pos:      token.Position{Filename: "/repo/internal/obs/obs.go", Line: 7, Column: 1},
+		Analyzer: "atomicfield",
+		Message:  "seq is accessed with sync/atomic at /repo/internal/obs/ring.go:18; /repo2/x.go:1 stays",
+	}}
+	want := "seq is accessed with sync/atomic at internal/obs/ring.go:18; /repo2/x.go:1 stays"
+	for _, base := range []string{"/repo", "/repo/"} {
+		if got := analysis.Findings(cited, base)[0].Message; got != want {
+			t.Errorf("baseDir %q: message = %q, want %q", base, got, want)
+		}
+	}
+	if got := analysis.Findings(cited, "/elsewhere")[0].Message; got != cited[0].Message {
+		t.Errorf("outside baseDir: message = %q, want it unchanged", got)
 	}
 }
 
